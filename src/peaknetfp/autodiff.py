@@ -301,8 +301,14 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
 
 def reduce_max(a: Tensor, axis: int) -> Tensor:
-    """Max along one axis; ties route the gradient to the lowest index."""
+    """Max along one axis; ties route the gradient to the lowest index.
+
+    The ``argmax`` the gradient needs runs only when the result is taped
+    (grad enabled and ``a`` requires grad); otherwise only the max is taken.
+    """
     out_data = a.data.max(axis=axis)
+    if not (_grad_enabled and a.requires_grad):
+        return Tensor(out_data)
     idx = np.argmax(a.data, axis=axis)
 
     def back():
@@ -415,7 +421,8 @@ def scale_bias(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
         raise ShapeError(
             f"scale_bias: need ({c},) vectors, got {scale.data.shape}/{shift.data.shape}"
         )
-    out_data = x.data * scale.data + shift.data
+    out_data = x.data * scale.data
+    out_data += shift.data
 
     def back():
         g2 = out.grad.reshape(-1, c)

@@ -15,6 +15,15 @@ Determinism guarantees, relied on by tests and by retrieval:
 - neighbor ties are broken by ascending point index; squared distances are
   compared in float64 against the squared radius;
 - max-pool ties route to the lowest index.
+
+Grouping work is done once per stage and cloud, not once per branch: the
+distance matrix and the nearest-first order of the ``k = max(group_size)``
+closest points are shared by all branches, and each branch cuts its groups
+from that order at its own in-radius count. The top k come from a partition,
+not a full sort, under a tie rule that reproduces the stable sort exactly:
+with ``v`` the kth smallest distance of a row, every point with ``d2 < v``
+is kept, the remaining slots go to the lowest-index points with ``d2 == v``,
+and the kept points are ordered by ``(d2, index)``.
 """
 from __future__ import annotations
 
@@ -27,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 log = logging.getLogger(__name__)
 
@@ -167,37 +176,67 @@ def sample_anchors(points: np.ndarray, n_anchors: int) -> np.ndarray:
 def _squared_distances(anchors_xyz: np.ndarray, points: np.ndarray, mode: str) -> np.ndarray:
     a = np.asarray(anchors_xyz, dtype=np.float64)
     p = np.asarray(points, dtype=np.float64)
-    if mode == "2d":
-        a, p = a[:, :2], p[:, :2]
-    elif mode != "3d":
+    if mode not in ("3d", "2d"):
         raise ConfigError(f"unknown distance mode {mode!r}")
-    diff = a[:, None, :] - p[None, :, :]
-    d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-    if mode == "3d":
-        d2 = d2 + diff[..., 2] ** 2
+    # per-axis (A, N) planes, summed in axis order: t, f, then a in "3d"
+    diff = np.subtract.outer(a[:, 0], p[:, 0])
+    d2 = diff * diff
+    for axis in range(1, 2 if mode == "2d" else 3):
+        diff = np.subtract.outer(a[:, axis], p[:, axis])
+        d2 += diff * diff
     return d2
 
 
-def _ball_groups(
-    d2: np.ndarray, radius: float, group_size: int, fallback: np.ndarray | None
-) -> np.ndarray:
-    n_points = d2.shape[1]
-    within = d2 <= float(radius) * float(radius)
-    count = within.sum(axis=1)
-    order = np.argsort(d2, axis=1, kind="stable")
-    if n_points < group_size:
-        order = np.concatenate(
-            [order, np.repeat(order[:, :1], group_size - n_points, axis=1)], axis=1
-        )
-    sel = order[:, :group_size]
-    cols = np.arange(group_size)
-    groups = np.where(cols[None, :] < count[:, None], sel, sel[:, :1])
-    empty = count == 0
-    if empty.any():
-        if fallback is None:
-            raise ContractError("query ball found no points and no anchor fallback")
-        groups[empty] = fallback[empty, None]
-    return groups.astype(np.int64)
+def _nearest_first(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the k smallest entries per row, ordered by (d2, index).
+
+    Equal to ``argsort(d2, kind="stable")[:, :k]`` and the distances it
+    picks, without sorting whole rows: with ``v`` the kth smallest value of a
+    row, every column with ``d2 < v`` is kept and the remaining slots go to
+    the lowest-index columns with ``d2 == v``.
+    """
+    v = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    less = d2 < v
+    ties = d2 == v
+    need = k - less.sum(axis=1, keepdims=True)
+    keep = less | (ties & (np.cumsum(ties, axis=1) <= need))
+    cols = np.nonzero(keep)[1].reshape(-1, k)  # ascending index within a row
+    kd2 = np.take_along_axis(d2, cols, axis=1)
+    o = np.argsort(kd2, axis=1, kind="stable")
+    return np.take_along_axis(cols, o, axis=1), np.take_along_axis(kd2, o, axis=1)
+
+
+def query_ball_groups(
+    anchor_indices: np.ndarray,
+    points: np.ndarray,
+    branches: list[tuple[float, int]],
+    mode: str = "3d",
+) -> list[np.ndarray]:
+    """``query_ball_group`` for several ``(radius, group_size)`` branches.
+
+    Distances and neighbor order are computed once and shared: each branch
+    takes its group from the same nearest-first order, cut at its own
+    in-radius count.
+    """
+    idx = np.asarray(anchor_indices, dtype=np.int64)
+    pts = np.asarray(points)
+    d2 = _squared_distances(pts[idx], pts, mode)
+    if not np.isfinite(pts).all():
+        # a NaN distance is never in radius, so where it ranks cannot change
+        # a group; rank it last so the top-k tie rule sees only numbers
+        d2[np.isnan(d2)] = np.inf
+    k = min(max(g for _, g in branches), d2.shape[1])
+    order, od2 = _nearest_first(d2, k)
+    groups = []
+    for radius, group_size in branches:
+        # in-radius count capped at the group size, all the cut needs
+        count = (od2[:, :group_size] <= float(radius) * float(radius)).sum(axis=1)
+        cols = np.arange(group_size)
+        g = np.where(cols < count[:, None], order[:, np.minimum(cols, k - 1)], order[:, :1])
+        empty = count == 0
+        g[empty] = idx[empty, None]
+        groups.append(g)
+    return groups
 
 
 def query_ball_group(
@@ -214,21 +253,7 @@ def query_ball_group(
     anchor with no qualifying point groups with itself (unreachable when the
     anchor is a member, since its own distance is zero).
     """
-    idx = np.asarray(anchor_indices, dtype=np.int64)
-    d2 = _squared_distances(np.asarray(points)[idx], points, mode)
-    return _ball_groups(d2, radius, group_size, fallback=idx)
-
-
-def query_ball_coords(
-    anchors_xyz: np.ndarray,
-    points: np.ndarray,
-    radius: float,
-    group_size: int,
-    mode: str = "3d",
-) -> np.ndarray:
-    """query_ball_group for anchor coordinates that need not be members."""
-    d2 = _squared_distances(anchors_xyz, points, mode)
-    return _ball_groups(d2, radius, group_size, fallback=None)
+    return query_ball_groups(anchor_indices, points, [(radius, group_size)], mode)[0]
 
 
 class PeakEncoder:
@@ -322,20 +347,20 @@ class PeakEncoder:
         b_sz, n, _ = xyz.shape
         n_anchor = spec.n_anchors
         anchor_idx = np.stack([sample_anchors(xyz[b], n_anchor) for b in range(b_sz)])
-        new_xyz = np.stack([xyz[b][anchor_idx[b]] for b in range(b_sz)])
+        rows = np.arange(b_sz)[:, None]
+        new_xyz = xyz[rows, anchor_idx]
+        branches = [(br.radius, br.group_size) for br in spec.branches]
+        per_cloud = [
+            query_ball_groups(anchor_idx[b], xyz[b], branches, mode=self.config.distance_mode)
+            for b in range(b_sz)
+        ]
         outs = []
         for bi, br in enumerate(spec.branches):
-            flat_idx = np.empty((b_sz, n_anchor, br.group_size), dtype=np.int64)
-            rel = np.empty((b_sz, n_anchor, br.group_size, 3), dtype=self.dtype)
-            for b in range(b_sz):
-                g = query_ball_group(
-                    anchor_idx[b], xyz[b], br.radius, br.group_size,
-                    mode=self.config.distance_mode,
-                )
-                flat_idx[b] = g + b * n
-                rel[b] = xyz[b][g] - new_xyz[b][:, None, :]
+            g = np.stack([groups[bi] for groups in per_cloud])
+            rel = xyz[rows[..., None], g] - new_xyz[:, :, None, :]
             x = ad.constant(rel.reshape(-1, 3))
             if feats is not None:
+                flat_idx = g + rows[..., None] * n
                 x = ad.concat([x, ad.gather_rows(feats, flat_idx.reshape(-1))], axis=1)
             h = self._mlp(x, f"{prefix}.b{bi}", br.mlp, training)
             h = ad.reshape(h, (b_sz * n_anchor, br.group_size, br.mlp[-1]))

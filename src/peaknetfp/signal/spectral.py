@@ -15,6 +15,7 @@ Conventions, fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -74,8 +75,9 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: SpectrogramConfig) -> np.ndarray:
-    """Triangular filter matrix of shape (n_mels, n_fft // 2 + 1)."""
+@functools.lru_cache(maxsize=16)
+def _cached_filterbank(cfg: SpectrogramConfig) -> np.ndarray:
+    # one read-only matrix per config, shared by every melspectrogram call
     n_bins = cfg.n_fft // 2 + 1
     bin_hz = np.arange(n_bins) * cfg.sample_rate / cfg.n_fft
     edges = _mel_to_hz(
@@ -91,7 +93,18 @@ def mel_filterbank(cfg: SpectrogramConfig) -> np.ndarray:
         raise ConfigError(
             "mel filterbank has empty filters; widen fmin..fmax or lower n_mels"
         )
-    return fb.astype(np.float32)
+    fb = fb.astype(np.float32)
+    fb.flags.writeable = False
+    return fb
+
+
+def mel_filterbank(cfg: SpectrogramConfig) -> np.ndarray:
+    """Triangular filter matrix of shape (n_mels, n_fft // 2 + 1).
+
+    Returns a fresh writable copy; ``melspectrogram`` uses a cached read-only
+    matrix built once per config.
+    """
+    return _cached_filterbank(cfg).copy()
 
 
 def stft_magnitude(samples: np.ndarray, cfg: SpectrogramConfig | None = None) -> np.ndarray:
@@ -115,7 +128,7 @@ def stft_magnitude(samples: np.ndarray, cfg: SpectrogramConfig | None = None) ->
 def melspectrogram(samples: np.ndarray, cfg: SpectrogramConfig | None = None) -> np.ndarray:
     """Mel magnitude spectrogram, shape (n_mels, n_frames)."""
     cfg = cfg or SpectrogramConfig()
-    return mel_filterbank(cfg) @ stft_magnitude(samples, cfg)
+    return _cached_filterbank(cfg) @ stft_magnitude(samples, cfg)
 
 
 def stretch_spectrogram(spec: np.ndarray, factor: float) -> np.ndarray:

@@ -244,7 +244,11 @@ def _full_state(model: PeakEncoder, opt: ad.AdamState, cfg: TrainConfig, epochs_
         state[f"opt.m/{name}"] = arr
     for name, arr in opt.v.items():
         state[f"opt.v/{name}"] = arr
-    state["meta/opt_step"] = np.float32(opt.step)
+    # as 8 little-endian bytes, like the config: a float32 scalar is exact
+    # only up to 2**24
+    state["meta/opt_step_u64le"] = np.frombuffer(
+        int(opt.step).to_bytes(8, "little"), dtype=np.uint8
+    ).astype(np.float32)
     state["meta/epochs_done"] = np.float32(epochs_done)
     cfg_bytes = json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")
     state["meta/train_config_utf8"] = np.frombuffer(cfg_bytes, dtype=np.uint8).astype(
@@ -261,7 +265,13 @@ def _restore_opt(model: PeakEncoder, state: dict) -> tuple[ad.AdamState, int]:
             raise DataError(f"checkpoint missing optimizer state for {name!r}")
         opt.m[name] = state[mkey].astype(model.dtype).copy()
         opt.v[name] = state[vkey].astype(model.dtype).copy()
-    opt.step = int(state.get("meta/opt_step", np.float32(0.0)))
+    if "meta/opt_step_u64le" in state:
+        raw = state["meta/opt_step_u64le"]
+        if raw.shape != (8,):
+            raise DataError(f"checkpoint optimizer step has shape {raw.shape}, not (8,)")
+        opt.step = int.from_bytes(raw.astype(np.uint8).tobytes(), "little")
+    else:  # checkpoints that stored the step as a float32 scalar
+        opt.step = int(state.get("meta/opt_step", np.float32(0.0)))
     epochs_done = int(state.get("meta/epochs_done", np.float32(0.0)))
     return opt, epochs_done
 

@@ -225,6 +225,17 @@ class TestGraphMechanics:
         ad.reduce_sum(ad.reduce_max(x, 1)).backward()
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0]])
 
+    def test_untaped_max_equals_taped_and_records_nothing(self):
+        rng = np.random.default_rng(12)
+        x = ad.Tensor(rng.normal(size=(6, 5, 4)).astype(np.float32), requires_grad=True)
+        taped = ad.reduce_max(x, 1)
+        with ad.no_grad():
+            untaped = ad.reduce_max(x, 1)
+        np.testing.assert_array_equal(untaped.data, taped.data)
+        assert taped._parents and taped._backward is not None
+        assert untaped._parents == () and untaped._backward is None
+        assert not untaped.requires_grad
+
     def test_shape_violations(self):
         a = ad.Tensor(np.ones((2, 3)))
         b = ad.Tensor(np.ones((3, 2)))

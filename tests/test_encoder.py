@@ -10,6 +10,7 @@ from straightline import straight_line_fingerprint
 
 from peaknetfp import autodiff as ad
 from peaknetfp import reference as ref
+from peaknetfp.corpus import make_track
 from peaknetfp.encoder import (
     DEFAULT_CONFIG,
     BranchSpec,
@@ -18,11 +19,12 @@ from peaknetfp.encoder import (
     StageSpec,
     canonical_order,
     checkpoint_id,
-    query_ball_coords,
     query_ball_group,
+    query_ball_groups,
     sample_anchors,
 )
-from peaknetfp.errors import ConfigError, ContractError, DataError, ShapeError
+from peaknetfp.errors import ConfigError, DataError, ShapeError
+from peaknetfp.signal import clip_clouds
 
 TABLE_SETTINGS = [(4, 0.1), (8, 0.2), (16, 0.3), (4, 0.2), (8, 0.3), (16, 0.4)]
 
@@ -37,6 +39,18 @@ def tiny_config() -> EncoderConfig:
 
 def random_cloud(rng, n=256) -> np.ndarray:
     return rng.random((n, 3)).astype(np.float32)
+
+
+def padded_cloud(rng, n_real: int, n=256) -> np.ndarray:
+    """n_real distinct points repeated cyclically, as extract_peaks pads."""
+    return random_cloud(rng, n_real)[np.arange(n) % n_real]
+
+
+def tone_bursts(seconds: float) -> np.ndarray:
+    """Short bursts in silence: few local maxima, so clouds get padded."""
+    t = np.arange(int(seconds * 8000)) / 8000
+    on = (t % 0.9 > 0.3) & (t % 0.9 < 0.32)
+    return np.where(on, np.sin(2 * np.pi * 700.0 * t), 0.0).astype(np.float32)
 
 
 class TestConfig:
@@ -104,13 +118,14 @@ class TestCanonicalOrderAndAnchors:
 
 class TestQueryBall:
     def test_single_neighbor_padded_to_group(self):
-        # anchor away from the member set: only the nearest point qualifies
-        # and is repeated to fill the group
+        # anchor 0 has one neighbor besides itself within the radius; the
+        # group is filled by repeating the first (nearest) qualifying index.
+        # Anchor 1 is equidistant from 0 and 2: the lower index comes first
         points = np.array(
-            [[0.05, 0.0, 0.0], [0.15, 0.0, 0.0], [0.25, 0.0, 0.0]], dtype=np.float32
+            [[0.0, 0.0, 0.0], [0.25, 0.0, 0.0], [0.5, 0.0, 0.0]], dtype=np.float32
         )
-        groups = query_ball_coords(np.zeros((1, 3), dtype=np.float32), points, 0.1, 4)
-        np.testing.assert_array_equal(groups, [[0, 0, 0, 0]])
+        groups = query_ball_group(np.array([0, 1]), points, 0.3, 4)
+        np.testing.assert_array_equal(groups, [[0, 1, 0, 0], [1, 0, 2, 1]])
 
     def test_member_anchor_groups_with_itself_when_isolated(self):
         points = np.array(
@@ -119,20 +134,40 @@ class TestQueryBall:
         groups = query_ball_group(np.array([1]), points, 0.01, 3)
         np.testing.assert_array_equal(groups, [[1, 1, 1]])
 
-    def test_no_neighbor_and_no_fallback_rejected(self):
-        points = np.array([[5.0, 5.0, 5.0]], dtype=np.float32)
-        with pytest.raises(ContractError):
-            query_ball_coords(np.zeros((1, 3), dtype=np.float32), points, 0.1, 2)
-
     @pytest.mark.parametrize("group_size,radius", TABLE_SETTINGS)
     def test_matches_all_pairs_oracle(self, group_size, radius):
         rng = np.random.default_rng(group_size * 100 + int(radius * 10))
-        for _ in range(10):
-            pts = random_cloud(rng, 64)
+        # random clouds, then cyclically padded ones: their duplicated points
+        # put runs of equal distances across the group boundary
+        clouds = [random_cloud(rng, 64) for _ in range(10)]
+        clouds += [padded_cloud(rng, n_real, 64) for n_real in (3, 5, 7, 13, 30)]
+        for pts in clouds:
             anchors = sample_anchors(pts, 24)
             got = query_ball_group(anchors, pts, radius, group_size)
             want = ref.naive_query_ball(anchors, pts, radius, group_size)
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("stage", [DEFAULT_CONFIG.stage1, DEFAULT_CONFIG.stage2])
+    def test_stage_groups_match_oracle_per_branch(self, stage):
+        rng = np.random.default_rng(stage.n_anchors)
+        n_points = 256 if stage is DEFAULT_CONFIG.stage1 else DEFAULT_CONFIG.stage1.n_anchors
+        branches = [(br.radius, br.group_size) for br in stage.branches]
+        for pts in (random_cloud(rng, n_points), padded_cloud(rng, 37, n_points)):
+            anchors = sample_anchors(pts, stage.n_anchors)
+            groups = query_ball_groups(anchors, pts, branches)
+            assert len(groups) == len(branches)
+            for (radius, group_size), got in zip(branches, groups):
+                want = ref.naive_query_ball(anchors, pts, radius, group_size)
+                np.testing.assert_array_equal(got, want)
+
+    def test_nan_point_never_joins_a_group(self):
+        rng = np.random.default_rng(11)
+        pts = random_cloud(rng, 40)
+        pts[[3, 17], 1] = np.nan
+        anchors = np.arange(0, 40, 2)
+        got = query_ball_group(anchors, pts, 0.4, 8)
+        want = ref.naive_query_ball(anchors, pts, 0.4, 8)
+        np.testing.assert_array_equal(got, want)
 
     def test_2d_mode_matches_oracle_on_tf_plane(self):
         rng = np.random.default_rng(9)
@@ -175,6 +210,16 @@ class TestEncoderForward:
         batched = model.fingerprints(clouds)
         singles = np.stack([model.fingerprint(c) for c in clouds])
         np.testing.assert_allclose(batched, singles, rtol=1e-5, atol=1e-6)
+
+    def test_untaped_inference_bit_equal_to_taped_encode(self):
+        model = PeakEncoder(seed=0)
+        clouds = np.concatenate(
+            [clip_clouds(make_track(0, seconds=4.0)), clip_clouds(tone_bursts(3.0))]
+        )
+        assert len(np.unique(clouds[-1], axis=0)) < clouds.shape[1]
+        taped = model.encode(clouds, training=False)
+        assert taped.requires_grad
+        np.testing.assert_array_equal(model.fingerprints(clouds), taped.data)
 
     def test_zero_cloud_gets_fixed_unit_direction(self):
         model = PeakEncoder(seed=0)

@@ -169,6 +169,15 @@ class TestSpectrogram:
         assert fb.shape == (256, 513)
         assert (fb.max(axis=1) > 0).all()
 
+    def test_filterbank_copy_does_not_alias_the_cache(self):
+        x = tone(440.0, 1.0, 8000)
+        before = melspectrogram(x)
+        fb = mel_filterbank(SpectrogramConfig())
+        assert fb.flags.writeable
+        fb[:] = 0.0
+        np.testing.assert_array_equal(melspectrogram(x), before)
+        assert mel_filterbank(SpectrogramConfig()).max() > 0
+
     def test_narrow_band_config_rejected(self):
         # 256 filters crammed into 1 Hz must trip the empty-filter check.
         with pytest.raises(ConfigError):

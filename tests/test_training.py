@@ -20,6 +20,8 @@ from peaknetfp.training import (
     positive_pair_mask,
     train,
     _cosine_lr,
+    _full_state,
+    _restore_opt,
 )
 
 
@@ -307,6 +309,35 @@ class TestTrainLoop:
             np.testing.assert_array_equal(model.params[name].data, fresh.params[name].data)
         state = ad.load_checkpoint(out)
         assert int(state["meta/epochs_done"]) == 0
+
+    def test_optimizer_step_roundtrips_exactly_past_float32(self, tmp_path):
+        model = PeakEncoder(tiny_config(), seed=3)
+        opt = ad.AdamState(
+            m={k: np.zeros_like(p.data) for k, p in model.params.items()},
+            v={k: np.zeros_like(p.data) for k, p in model.params.items()},
+            step=2**24 + 1,
+        )
+        path = tmp_path / "step.ckpt"
+        ad.save_checkpoint(path, _full_state(model, opt, tiny_cfg(), 7))
+        state = ad.load_checkpoint(path)
+        restored, epochs_done = _restore_opt(model, state)
+        assert restored.step == 2**24 + 1
+        assert epochs_done == 7
+        state["meta/opt_step_u64le"] = state["meta/opt_step_u64le"][:5]
+        with pytest.raises(DataError):
+            _restore_opt(model, state)
+
+    def test_optimizer_step_scalar_form_still_loads(self):
+        model = PeakEncoder(tiny_config(), seed=3)
+        opt = ad.AdamState(
+            m={k: np.zeros_like(p.data) for k, p in model.params.items()},
+            v={k: np.zeros_like(p.data) for k, p in model.params.items()},
+        )
+        state = _full_state(model, opt, tiny_cfg(), 2)
+        del state["meta/opt_step_u64le"]
+        state["meta/opt_step"] = np.float32(123)
+        restored, _ = _restore_opt(model, state)
+        assert restored.step == 123
 
     def test_nan_loss_aborts_with_diagnostic_dump(self, toy_dataset, tmp_path):
         model = PeakEncoder(tiny_config(), seed=2)
