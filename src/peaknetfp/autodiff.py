@@ -12,6 +12,13 @@ Deliberate restrictions, enforced loudly:
 - broadcasting exists only where stated (bias add, scale_bias, scalars);
 - ``backward()`` starts from scalars only.
 
+``backward()`` consumes the graph it runs through: each node releases its
+closure, parents and gradient as soon as its closure has run, so the tape
+holds no reference cycles afterwards and needs no garbage collection. A second
+``backward()`` through the same graph is unsupported. Gradients accumulate out
+of place (``grad = grad + g``) and may share buffers, so a ``.grad`` must never
+be written in place.
+
 Also here: the Adam optimizer that consumes these gradients, and the binary
 checkpoint format for named arrays.
 """
@@ -80,28 +87,17 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
-    # small operator sugar; everything routes through the module functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise ContractError("tensor/tensor division is not supported")
-        return mul(self, 1.0 / float(scalar))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def backward(self) -> None:
+        """Add d(self)/d(leaf) to the ``.grad`` of every leaf that requires it.
+
+        This consumes the graph: once a node's closure has run, the node drops
+        its closure, its parents and its ``.grad``, so activations and
+        intermediate gradients are freed as backward goes and no reference
+        cycle outlives the call. Leaves keep their grads. A second
+        ``backward()`` through the same graph is unsupported. Grads accumulate
+        out of place and may share buffers with each other or with views of
+        them, so a grad must never be written in place.
+        """
         if self.data.size != 1:
             raise ContractError(
                 f"backward() starts from a scalar, got shape {self.data.shape}"
@@ -122,20 +118,22 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward()
+            node._backward = None
+            node._parents = ()
+            node.grad = None
 
 
-def _accumulate(t: Tensor, g: np.ndarray, own: bool = False) -> None:
-    # own=True promises g is a freshly allocated array aliasing nothing, so
-    # it can be adopted as the grad buffer outright
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # out of place: g may be another tensor's grad or a view of one
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g if own else g.copy()
-    else:
-        t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _make(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
@@ -176,7 +174,7 @@ def add(a: Tensor, b: Tensor | float) -> Tensor:
 
         def back():
             _accumulate(a, out.grad)
-            _accumulate(b, out.grad.reshape(-1, b.data.shape[0]).sum(axis=0), own=True)
+            _accumulate(b, out.grad.reshape(-1, b.data.shape[0]).sum(axis=0))
 
     else:
         raise ShapeError(f"add: incompatible shapes {a.data.shape} / {b.data.shape}")
@@ -193,7 +191,7 @@ def sub(a: Tensor, b: Tensor | float) -> Tensor:
 
     def back():
         _accumulate(a, out.grad)
-        _accumulate(b, -out.grad, own=True)
+        _accumulate(b, -out.grad)
 
     out = _make(out_data, (a, b), back)
     return out
@@ -205,7 +203,7 @@ def mul(a: Tensor, b: Tensor | float) -> Tensor:
         out_data = a.data * s
 
         def back():
-            _accumulate(a, out.grad * s, own=True)
+            _accumulate(a, out.grad * s)
 
         out = _make(out_data, (a,), back)
         return out
@@ -214,8 +212,8 @@ def mul(a: Tensor, b: Tensor | float) -> Tensor:
     out_data = a.data * b.data
 
     def back():
-        _accumulate(a, out.grad * b.data, own=True)
-        _accumulate(b, out.grad * a.data, own=True)
+        _accumulate(a, out.grad * b.data)
+        _accumulate(b, out.grad * a.data)
 
     out = _make(out_data, (a, b), back)
     return out
@@ -231,8 +229,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def back():
-        _accumulate(a, out.grad @ b.data.T, own=True)
-        _accumulate(b, a.data.T @ out.grad, own=True)
+        _accumulate(a, out.grad @ b.data.T)
+        _accumulate(b, a.data.T @ out.grad)
 
     out = _make(out_data, (a, b), back)
     return out
@@ -253,9 +251,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def back():
         g = out.grad
-        _accumulate(x, g @ w.data.T, own=True)
-        _accumulate(w, x.data.T @ g, own=True)
-        _accumulate(b, g.sum(axis=0), own=True)
+        if x.requires_grad:  # the first layers take constant coordinates
+            _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+        _accumulate(b, g.sum(axis=0))
 
     out = _make(out_data, (x, w, b), back)
     return out
@@ -277,7 +276,7 @@ def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0)
 
     def back():
-        _accumulate(a, out.grad * (a.data > 0), own=True)
+        _accumulate(a, out.grad * (a.data > 0))
 
     out = _make(out_data, (a,), back)
     return out
@@ -316,7 +315,7 @@ def reduce_max(a: Tensor, axis: int) -> Tensor:
         np.put_along_axis(
             g, np.expand_dims(idx, axis), np.expand_dims(out.grad, axis), axis
         )
-        _accumulate(a, g, own=True)
+        _accumulate(a, g)
 
     out = _make(out_data, (a,), back)
     return out
@@ -327,7 +326,7 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
 
     def back():
         if axis is None:
-            _accumulate(a, np.full_like(a.data, out.grad), own=True)
+            _accumulate(a, np.full_like(a.data, out.grad))
         else:
             _accumulate(a, np.broadcast_to(np.expand_dims(out.grad, axis), a.data.shape))
 
@@ -344,7 +343,7 @@ def log(a: Tensor) -> Tensor:
     out_data = np.log(a.data)
 
     def back():
-        _accumulate(a, out.grad / a.data, own=True)
+        _accumulate(a, out.grad / a.data)
 
     out = _make(out_data, (a,), back)
     return out
@@ -354,7 +353,7 @@ def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
     def back():
-        _accumulate(a, out.grad * out_data, own=True)
+        _accumulate(a, out.grad * out_data)
 
     out = _make(out_data, (a,), back)
     return out
@@ -366,7 +365,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def back():
         soft = np.exp(out_data)
-        _accumulate(a, out.grad - soft * out.grad.sum(axis=axis, keepdims=True), own=True)
+        _accumulate(a, out.grad - soft * out.grad.sum(axis=axis, keepdims=True))
 
     out = _make(out_data, (a,), back)
     return out
@@ -380,7 +379,7 @@ def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     def back():
         g = out.grad
         proj = (g * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(a, (g - out_data * proj) / norm, own=True)
+        _accumulate(a, (g - out_data * proj) / norm)
 
     out = _make(out_data, (a,), back)
     return out
@@ -407,11 +406,35 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
 
     def back():
         g = np.zeros_like(a.data)
-        np.add.at(g, idx.reshape(-1), out.grad.reshape(-1, a.data.shape[1]))
-        _accumulate(a, g, own=True)
+        _scatter_add_rows(g, idx.reshape(-1), out.grad.reshape(-1, a.data.shape[1]))
+        _accumulate(a, g)
 
     out = _make(out_data, (a,), back)
     return out
+
+
+def _scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(target, rows, values)`` over axis 0, bit for bit.
+
+    Pass ``r`` adds the ``r``-th occurrence of every row index with one
+    fancy-index ``+=`` over distinct rows, so each row sums its values in
+    their original order, starting from its current value. The number of
+    passes is the highest multiplicity of any index.
+    """
+    if rows.size == 0:
+        return
+    rows = rows % target.shape[0]  # -1 and n-1 must land in the same pass
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    pos = np.arange(rows.size)
+    first = np.r_[True, sorted_rows[1:] != sorted_rows[:-1]]
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    by_pass = order[np.argsort(rank, kind="stable")]
+    lo = 0
+    for hi in np.cumsum(np.bincount(rank)):
+        sel = by_pass[lo:hi]
+        target[rows[sel]] += values[sel]
+        lo = hi
 
 
 def scale_bias(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
@@ -427,9 +450,9 @@ def scale_bias(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     def back():
         g2 = out.grad.reshape(-1, c)
         x2 = x.data.reshape(-1, c)
-        _accumulate(x, out.grad * scale.data, own=True)
-        _accumulate(scale, (g2 * x2).sum(axis=0), own=True)
-        _accumulate(shift, g2.sum(axis=0), own=True)
+        _accumulate(x, out.grad * scale.data)
+        _accumulate(scale, (g2 * x2).sum(axis=0))
+        _accumulate(shift, g2.sum(axis=0))
 
     out = _make(out_data, (x, scale, shift), back)
     return out
@@ -459,15 +482,15 @@ def batch_norm(
 
     def back():
         g = out.grad
-        _accumulate(beta, g.sum(axis=0), own=True)
-        _accumulate(gamma, (g * xhat).sum(axis=0), own=True)
+        _accumulate(beta, g.sum(axis=0))
+        _accumulate(gamma, (g * xhat).sum(axis=0))
         gx = g * gamma.data
         m1 = gx.mean(axis=0)
         m2 = (gx * xhat).mean(axis=0)
         gx -= m1
         gx -= xhat * m2
         gx *= inv
-        _accumulate(x, gx, own=True)
+        _accumulate(x, gx)
 
     out = _make(out_data, (x, gamma, beta), back)
     return out, mu, var

@@ -18,10 +18,10 @@ from . import reference as ref
 from .corpus import write_corpus
 from .encoder import EncoderConfig, PeakEncoder, checkpoint_id, query_ball_group
 from .errors import ConfigError, ContractError, DataError, DecodeError
-from .evaluate import EvalConfig, run_sweep
+from .evaluate import EvalConfig, cut_query, run_sweep
 from .index import FingerprintDB, IVFPQIndex, sequence_match
 from .quadfp import HASH_EPSILON, QuadDB, box_matches
-from .signal.audio import load_audio, stretch_audio
+from .signal.audio import AudioClip, load_audio, stretch_audio
 from .signal.peaks import PeakEntry, clip_clouds, extract_peaks, write_peaks
 from .training import SegmentDataset, TrainConfig, ntxent_loss, train
 
@@ -59,17 +59,10 @@ def _read_json(path: str) -> dict:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _cut(samples: np.ndarray, offset_s: float, length_s: float | None, factor: float):
-    sr = 8000
-    if length_s is not None:
-        start = int(round(offset_s * sr))
-        need = int(round(length_s * factor * sr))
-        if start + need > samples.size:
-            raise DataError("requested excerpt exceeds the file")
-        samples = samples[start : start + need]
-    if factor != 1.0:
-        samples = stretch_audio(samples, factor)
-    return samples
+def _cut(clip: AudioClip, offset_s: float, length_s: float | None, factor: float) -> np.ndarray:
+    if length_s is None:
+        return stretch_audio(clip, factor).samples
+    return cut_query(clip.samples, clip.sample_rate, offset_s, length_s, factor)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -165,7 +158,7 @@ def _ivfpq_from_meta(db: FingerprintDB) -> IVFPQIndex:
 def cmd_query(args) -> int:
     db = FingerprintDB.load(args.db)
     model = PeakEncoder.from_checkpoint(args.model)
-    samples = _cut(load_audio(args.audio).samples, args.offset, args.len, args.factor)
+    samples = _cut(load_audio(args.audio), args.offset, args.len, args.factor)
     emb = model.fingerprints(clip_clouds(samples))
     backend = _ivfpq_from_meta(db) if args.ivfpq else None
     matches = sequence_match(db, emb, k=args.k, backend=backend)
@@ -214,7 +207,7 @@ def cmd_quadfp_build(args) -> int:
 
 def cmd_quadfp_query(args) -> int:
     db = QuadDB.load(args.db)
-    samples = _cut(load_audio(args.audio).samples, args.offset, args.len, args.factor)
+    samples = _cut(load_audio(args.audio), args.offset, args.len, args.factor)
     matches = db.match(samples)
     if not matches:
         print("no match")

@@ -26,7 +26,7 @@ from .encoder import PeakEncoder
 from .errors import ConfigError, DataError
 from .index import FingerprintDB, IVFPQIndex, sequence_match
 from .quadfp import QuadDB
-from .signal.audio import stretch_audio
+from .signal.audio import AudioClip, stretch_audio
 from .signal.peaks import clip_clouds
 
 DEFAULT_FACTORS = (
@@ -105,7 +105,7 @@ def cut_query(
     piece = samples[start : start + need]
     if factor == 1.0:
         return piece.copy()
-    return stretch_audio(piece, factor)
+    return stretch_audio(AudioClip(piece, sample_rate), factor).samples
 
 
 @dataclass

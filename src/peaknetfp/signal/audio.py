@@ -124,19 +124,22 @@ def stretch_audio(clip: AudioClip | np.ndarray, factor: float) -> AudioClip | np
 
     factor > 1 speeds the clip up (shorter output), factor < 1 slows it down.
     ``factor == 1`` returns an identical copy. Output length is exactly
-    ``round(n / factor)`` samples.
+    ``round(n / factor)`` samples. The WSOLA window is sized in seconds at the
+    clip's rate; a bare array is taken to be at ``DEFAULT_SAMPLE_RATE``.
     """
+    if isinstance(clip, AudioClip):
+        return AudioClip(_wsola(clip.samples, factor, clip.sample_rate), clip.sample_rate)
+    return _wsola(clip, factor, DEFAULT_SAMPLE_RATE)
+
+
+def _wsola(samples: np.ndarray, factor: float, sr: int) -> np.ndarray:
     if not np.isfinite(factor) or factor <= 0:
         raise ConfigError(f"stretch factor must be positive, got {factor!r}")
-    if isinstance(clip, AudioClip):
-        out = stretch_audio(clip.samples, factor)
-        return AudioClip(out, clip.sample_rate)
-    x = np.asarray(clip, dtype=np.float32)
+    x = np.asarray(samples, dtype=np.float32)
     if x.ndim != 1:
         raise ShapeError(f"stretch_audio needs a 1-D clip, got {x.shape}")
     if factor == 1.0:
         return x.copy()
-    sr = DEFAULT_SAMPLE_RATE
     out_len = int(round(x.size / factor))
     window = int(round(_STRETCH_WINDOW_S * sr))
     window += window % 2

@@ -14,7 +14,6 @@ uninterrupted run would have seen.
 """
 from __future__ import annotations
 
-import gc
 import json
 import logging
 import math
@@ -340,11 +339,6 @@ def train(
                 ad.zero_grads(model.params.values())
                 loss.backward()
                 ad.adam_step(model.params, opt, lr)
-                # the tape is a graph of cycles (closures hold their parent
-                # tensors), so dropping the refs is not enough to reclaim it
-                # before the next forward allocates a second one
-                del emb, loss
-                gc.collect()
                 record = {
                     "epoch": epoch,
                     "step": opt.step,

@@ -69,7 +69,7 @@ class TestPrimitiveGradients:
     def test_scalar_mul_div(self):
         rng = np.random.default_rng(5)
         arrays = {"a": rand(rng, 3, 3)}
-        check_grads(lambda t: ad.reduce_sum((t["a"] * 2.5) / 4.0), arrays)
+        check_grads(lambda t: ad.reduce_sum(ad.mul(ad.mul(t["a"], 2.5), 1.0 / 4.0)), arrays)
 
     def test_relu_away_from_kink(self):
         rng = np.random.default_rng(6)
@@ -159,6 +159,33 @@ class TestPrimitiveGradients:
             arrays,
         )
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape, max_repeat",
+        [((600,), 40), ((30, 17), 40), ((5, 4), 1), ((0,), 0), ((3, 0), 0)],
+    )
+    def test_gather_rows_grad_equals_add_at_bytes(self, dtype, shape, max_repeat):
+        rng = np.random.default_rng(18)
+        n_rows, cols = 64, 7
+        size = int(np.prod(shape))
+        # repeats from 1 to max_repeat, unsorted; rows 48.. are never referenced
+        counts = rng.integers(1, max(max_repeat, 1) + 1, 48)
+        idx = rng.permutation(np.repeat(np.arange(48), counts))[:size]
+        if max_repeat:
+            idx[:max_repeat] = 3  # one row at the full multiplicity
+            idx = rng.permutation(idx)
+            idx[np.flatnonzero(idx == 3)[::2]] -= n_rows  # both spellings of row 3
+        idx = idx.reshape(shape)
+        # magnitudes over six decades, so summation order shows in the bits
+        w = (rng.normal(size=shape + (cols,)) * 10.0 ** rng.uniform(-3, 3, shape + (cols,)))
+        w = w.astype(dtype)
+        a = ad.Tensor(rng.normal(size=(n_rows, cols)).astype(dtype), requires_grad=True)
+        ad.reduce_sum(ad.mul(ad.gather_rows(a, idx), ad.constant(w))).backward()
+        want = np.zeros((n_rows, cols), dtype=dtype)
+        np.add.at(want, idx.reshape(-1), w.reshape(-1, cols))
+        assert a.grad.dtype == want.dtype
+        assert a.grad.tobytes() == want.tobytes()
+
     def test_scale_bias(self):
         rng = np.random.default_rng(15)
         w = rand(rng, 5, 3)
@@ -213,6 +240,24 @@ class TestGraphMechanics:
         y = ad.reduce_sum(ad.add(ad.mul(x, 3.0), ad.mul(x, 4.0)))
         y.backward()
         np.testing.assert_allclose(x.grad, [7.0])
+
+    def test_shared_grad_buffers_are_not_written_in_place(self):
+        a = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+        b = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+        ad.reduce_sum(ad.add(ad.add(a, b), a)).backward()
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+
+    def test_backward_releases_the_graph(self):
+        x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = ad.Tensor(np.ones((3, 2)), requires_grad=True)
+        h = ad.relu(ad.matmul(x, w))
+        loss = ad.reduce_sum(h)
+        loss.backward()
+        for node in (h, loss):
+            assert node._backward is None and node._parents == () and node.grad is None
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(w.grad, [[3.0, 3.0], [5.0, 5.0], [7.0, 7.0]])
 
     def test_constants_collect_no_grad(self):
         x = ad.Tensor(np.ones((2, 2)), requires_grad=True)

@@ -4,11 +4,14 @@ from __future__ import annotations
 import json
 import shutil
 
+import numpy as np
 import pytest
 
-from peaknetfp.cli import main
+from peaknetfp import reference as ref
+from peaknetfp.cli import _cut, main
 from peaknetfp.encoder import checkpoint_id
 from peaknetfp.index import FingerprintDB
+from peaknetfp.signal.audio import AudioClip
 from peaknetfp.signal.peaks import read_peaks
 
 
@@ -55,6 +58,16 @@ class TestExitCodes:
             ["evaluate", "--audio", str(eval_rig.wav_dir), "-o", str(tmp_path / "r.jsonl")]
         )
         assert code == 2
+
+
+class TestCut:
+    @pytest.mark.parametrize("length_s, want", [(2.0, 32000), (None, 64000)])
+    def test_excerpt_at_the_clip_rate(self, length_s, want):
+        t = np.arange(5 * 16000) / 16000
+        clip = AudioClip(np.sin(2.0 * np.pi * 50.0 * t).astype(np.float32), 16000)
+        out = _cut(clip, 0.5, length_s, 1.25)
+        assert out.size == want
+        assert abs(ref.dominant_frequency_hz(out, 16000) - 50.0) <= 16000 / out.size
 
 
 class TestSelftest:

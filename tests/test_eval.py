@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from peaknetfp import reference as ref
 from peaknetfp.errors import ConfigError, DataError
 from peaknetfp.evaluate import (
     DEFAULT_FACTORS,
@@ -92,6 +93,13 @@ class TestCutQuery:
         out = cut_query(samples, 8000, 0.0, length, factor)
         need = int(round(length * factor * 8000))
         assert out.size == int(round(need / factor))
+
+    def test_stretch_uses_the_given_rate(self):
+        t = np.arange(5 * 16000) / 16000
+        samples = np.sin(2.0 * np.pi * 50.0 * t).astype(np.float32)
+        out = cut_query(samples, 16000, 0.5, 2.0, 1.25)
+        assert out.size == 32000
+        assert abs(ref.dominant_frequency_hz(out, 16000) - 50.0) <= 16000 / out.size
 
     def test_window_past_the_end_rejected(self):
         samples = np.zeros(16000, dtype=np.float32)

@@ -111,6 +111,15 @@ class TestStretchAudio:
         assert out.sample_rate == 8000
         assert out.samples.size == 4000
 
+    @pytest.mark.parametrize("factor", [0.5, 0.8, 1.25, 2.0])
+    def test_window_sized_at_the_clip_rate(self, factor):
+        # a 50 Hz period (20 ms) is wider than the search range of a window
+        # sized for 8 kHz but played at 16 kHz, which would shift the pitch
+        x = tone(50.0, 2.0, 16000)
+        y = stretch_audio(AudioClip(x, 16000), factor).samples
+        assert y.size == round(x.size / factor)
+        assert abs(ref.dominant_frequency_hz(y, 16000) - 50.0) <= 16000 / y.size
+
     @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
     def test_invalid_factor_raises(self, factor):
         with pytest.raises(ConfigError):

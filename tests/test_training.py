@@ -1,4 +1,5 @@
 """Contrastive loss, pair dataset, and training-loop behavior."""
+import gc
 import json
 import math
 
@@ -276,6 +277,21 @@ class TestTrainLoop:
             assert a.model.params[name].data.tobytes() == b.model.params[name].data.tobytes()
         for name in a.model.running:
             assert a.model.running[name].tobytes() == b.model.running[name].tobytes()
+
+    def test_step_leaves_no_garbage_and_keeps_parameter_grads(self, toy_dataset):
+        model = PeakEncoder(seed=0)
+        gc.collect()
+        gc.disable()  # an automatic collection would hide leftover cycles
+        try:
+            emb = model.encode(toy_dataset.originals[:4], training=True)
+            loss = ntxent_loss(emb, 0.05)
+            loss.backward()
+            del emb, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        for name, p in model.params.items():
+            assert p.grad is not None and p.grad.shape == p.data.shape, name
 
     def test_resume_matches_uninterrupted_run(self, toy_dataset, tmp_path):
         cfg = tiny_cfg(epochs=4)
