@@ -19,25 +19,19 @@ holds no reference cycles afterwards and needs no garbage collection. A second
 of place (``grad = grad + g``) and may share buffers, so a ``.grad`` must never
 be written in place.
 
-Also here: the Adam optimizer that consumes these gradients, and the binary
-checkpoint format for named arrays.
+Also here: the Adam optimizer that consumes these gradients.
 """
 from __future__ import annotations
 
-import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ContractError, DataError, DecodeError, ShapeError
+from .errors import ContractError, ShapeError
 
 DEFAULT_DTYPE = np.float32
-
-CHECKPOINT_MAGIC = b"PNFPCKPT"
-CHECKPOINT_VERSION = 1
 
 _debug_checks = False
 _grad_enabled = True
@@ -532,53 +526,3 @@ def adam_step(
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
-def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    """Named float32 arrays in a flat validated binary layout."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<BI", CHECKPOINT_VERSION, len(tensors)))
-        for name, arr in tensors.items():
-            raw = name.encode("utf-8")
-            a = np.asarray(arr, dtype="<f4")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", a.ndim))
-            fh.write(struct.pack(f"<{a.ndim}Q", *a.shape))
-            fh.write(a.tobytes())
-
-
-def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise DecodeError(f"{path}: bad magic, not a checkpoint")
-    if len(blob) < 13:
-        raise DecodeError(f"{path}: truncated header")
-    version, count = struct.unpack_from("<BI", blob, 8)
-    if version != CHECKPOINT_VERSION:
-        raise DecodeError(f"{path}: unsupported checkpoint version {version}")
-    out: dict[str, np.ndarray] = {}
-    off = 13
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            name = blob[off : off + name_len].decode("utf-8")
-            off += name_len
-            (ndim,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}Q", blob, off) if ndim else ()
-            off += 8 * ndim
-            n_items = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            arr = np.frombuffer(blob, dtype="<f4", count=n_items, offset=off)
-            off += 4 * n_items
-            out[name] = arr.reshape(shape).copy()
-    except (struct.error, ValueError) as exc:
-        raise DecodeError(f"{path}: truncated or corrupt checkpoint") from exc
-    if off != len(blob):
-        raise DecodeError(f"{path}: {len(blob) - off} trailing bytes")
-    return out

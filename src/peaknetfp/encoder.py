@@ -28,7 +28,6 @@ and the kept points are ordered by ``(d2, index)``.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,11 +35,14 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError, ShapeError
+from . import container
+from .errors import ConfigError, DecodeError, ShapeError
 
 log = logging.getLogger(__name__)
 
 EMBED_DIM = 128
+# the container kind of model checkpoints and training state
+CHECKPOINT = "checkpoint"
 
 
 @dataclass(frozen=True)
@@ -415,48 +417,42 @@ class PeakEncoder:
 
     # -- persistence ------------------------------------------------------
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        state: dict[str, np.ndarray] = {}
-        cfg_bytes = json.dumps(self.config.to_dict(), sort_keys=True).encode("utf-8")
-        # config rides along as bytes so a checkpoint is self-describing
-        state["meta/config_utf8"] = np.frombuffer(cfg_bytes, dtype=np.uint8).astype(np.float32)
-        for name, p in self.params.items():
-            state[f"p/{name}"] = p.data
-        for name, arr in self.running.items():
-            state[f"r/{name}"] = arr
-        return state
+    def state(self) -> tuple[dict[str, np.ndarray], dict]:
+        """Checkpoint arrays, float32 whatever the model dtype, and meta."""
+        arrays = {f"p/{name}": p.data for name, p in self.params.items()}
+        arrays.update((f"r/{name}", a) for name, a in self.running.items())
+        arrays = {k: np.asarray(a, dtype=np.float32) for k, a in arrays.items()}
+        return arrays, {"config": self.config.to_dict()}
 
     def save(self, path: str | Path) -> None:
-        ad.save_checkpoint(path, self.state_arrays())
+        container.write(path, CHECKPOINT, *self.state())
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
+    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Parameters and running statistics from checkpoint arrays."""
+        for key, now in self.state()[0].items():
+            if key not in arrays or arrays[key].shape != now.shape:
+                raise DecodeError(f"checkpoint has no {key!r} of shape {now.shape}")
         for name, p in self.params.items():
-            key = f"p/{name}"
-            if key not in state:
-                raise DataError(f"checkpoint missing parameter {name!r}")
-            arr = state[key].astype(self.dtype)
-            if arr.shape != p.data.shape:
-                raise ShapeError(
-                    f"checkpoint parameter {name!r} has shape {arr.shape}, "
-                    f"expected {p.data.shape}"
-                )
-            p.data = arr.copy()
+            p.data = arrays[f"p/{name}"].astype(self.dtype)
         for name in self.running:
-            key = f"r/{name}"
-            if key not in state:
-                raise DataError(f"checkpoint missing running stat {name!r}")
-            self.running[name] = state[key].astype(self.dtype).copy()
+            self.running[name] = arrays[f"r/{name}"].astype(self.dtype)
+
+    @classmethod
+    def from_state(
+        cls, arrays: dict[str, np.ndarray], meta: dict, dtype=ad.DEFAULT_DTYPE
+    ) -> "PeakEncoder":
+        """Inverse of :meth:`state`."""
+        try:
+            config = EncoderConfig.from_dict(meta["config"])
+            model = cls(config=config, seed=0, dtype=dtype)
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise DecodeError(f"checkpoint has no valid model config: {exc}") from exc
+        model.load_state(arrays)
+        return model
 
     @classmethod
     def from_checkpoint(cls, path: str | Path, dtype=ad.DEFAULT_DTYPE) -> "PeakEncoder":
-        state = ad.load_checkpoint(path)
-        if "meta/config_utf8" not in state:
-            raise DataError(f"{path}: checkpoint has no model config")
-        cfg_bytes = state["meta/config_utf8"].astype(np.uint8).tobytes()
-        config = EncoderConfig.from_dict(json.loads(cfg_bytes.decode("utf-8")))
-        model = cls(config=config, seed=0, dtype=dtype)
-        model.load_state(state)
-        return model
+        return cls.from_state(*container.read(path, CHECKPOINT), dtype=dtype)
 
 
 def checkpoint_id(path: str | Path) -> str:

@@ -19,7 +19,7 @@ class DataError(FingerprintError):
 
 
 class DecodeError(DataError):
-    """A binary file failed magic/length/structure validation."""
+    """A binary file failed its magic, checksum, kind, size or content checks."""
 
 
 class ContractError(FingerprintError):

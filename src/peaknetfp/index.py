@@ -17,16 +17,15 @@ segment range (overhangs at either end of the track are clipped).
 """
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .errors import ConfigError, ContractError, DataError, DecodeError
 
-DB_MAGIC = b"PNFPIDX1"
+DB_KIND = "fp.db"
 
 
 class FingerprintDB:
@@ -52,7 +51,7 @@ class FingerprintDB:
                 f"track {track_id!r}: dim {v.shape[1]} != database dim {self.dim}"
             )
         norms = np.linalg.norm(v, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-3:
+        if not (np.abs(norms - 1.0) <= 1e-3).all():  # NaN rows fail too
             raise ContractError(f"track {track_id!r}: fingerprints must be unit-norm")
         if track_id in self._track_ids:
             raise DataError(f"duplicate track id {track_id!r}")
@@ -120,62 +119,20 @@ class FingerprintDB:
     # -- serialization ------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        lay = self._layout()
-        meta_raw = json.dumps(self.meta, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(DB_MAGIC)
-            fh.write(struct.pack("<I", len(meta_raw)))
-            fh.write(meta_raw)
-            fh.write(struct.pack("<Q", len(self._track_ids)))
-            for tid, block in zip(self._track_ids, self._blocks):
-                raw = tid.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<Q", block.shape[0]))
-            fh.write(struct.pack("<QI", lay["matrix"].shape[0], self.dim))
-            fh.write(np.ascontiguousarray(lay["matrix"], dtype="<f4").tobytes())
+        tracks = [[tid, len(b)] for tid, b in zip(self._track_ids, self._blocks)]
+        meta = {"info": self.meta, "tracks": tracks}
+        container.write(path, DB_KIND, {"matrix": self._layout()["matrix"]}, meta)
 
     @classmethod
     def load(cls, path: str | Path) -> "FingerprintDB":
+        arrays, meta = container.read(path, DB_KIND)
         try:
-            blob = Path(path).read_bytes()
-        except FileNotFoundError as exc:
-            raise DataError(f"no such database file: {path}") from exc
-        if blob[:8] != DB_MAGIC:
-            raise DecodeError(f"{path}: not a fingerprint database")
-        off = 8
-        try:
-            (meta_len,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            meta = json.loads(blob[off : off + meta_len].decode("utf-8"))
-            off += meta_len
-            (n_tracks,) = struct.unpack_from("<Q", blob, off)
-            off += 8
-            names, sizes = [], []
-            for _ in range(n_tracks):
-                (name_len,) = struct.unpack_from("<I", blob, off)
-                off += 4
-                names.append(blob[off : off + name_len].decode("utf-8"))
-                off += name_len
-                (n_seg,) = struct.unpack_from("<Q", blob, off)
-                off += 8
-                sizes.append(n_seg)
-            n_rows, dim = struct.unpack_from("<QI", blob, off)
-            off += 12
-            if n_rows != sum(sizes):
-                raise DecodeError(f"{path}: row count mismatch")
-            need = n_rows * dim * 4
-            if len(blob) - off != need:
-                raise DecodeError(f"{path}: truncated or trailing bytes")
-            matrix = np.frombuffer(blob, dtype="<f4", count=n_rows * dim, offset=off)
-        except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DecodeError(f"{path}: corrupt database file: {exc}") from exc
-        db = cls(dim=int(dim), meta=meta)
-        matrix = matrix.reshape(n_rows, dim)
-        start = 0
-        for name, size in zip(names, sizes):
-            db.add_track(name, matrix[start : start + size])
-            start += size
+            matrix, db, start = arrays["matrix"], cls(meta=meta["info"]), 0
+            for tid, n in container.track_runs(meta, len(matrix)):
+                db.add_track(tid, matrix[start : start + n])
+                start += n
+        except (LookupError, TypeError, ValueError, DataError, ContractError) as exc:
+            raise DecodeError(f"{path}: inconsistent fingerprint database: {exc}") from exc
         return db
 
 

@@ -10,19 +10,18 @@ hit, and lets consistent (track, stretch, offset) cells vote.
 """
 from __future__ import annotations
 
-import json
-import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .errors import ConfigError, DataError, DecodeError
 from .signal.peaks import local_maxima
 from .signal.spectral import SpectrogramConfig, melspectrogram
 
-QUAD_MAGIC = b"QUADDB01"
+QUAD_KIND = "quad.db"
 
 PEAKS_PER_SECOND = 30
 REF_QUADS_PER_SECOND = 25
@@ -351,78 +350,33 @@ class QuadDB:
     # -- serialization ----------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        lay = self._layout()
-        meta = dict(self.meta)
-        meta["epsilon"] = self.epsilon
+        if not self._track_ids:
+            raise DataError("empty quad database")
+        tracks = [[tid, len(h)] for tid, h in zip(self._track_ids, self._hashes)]
+        meta = {"info": self.meta, "epsilon": self.epsilon, "tracks": tracks}
         meta["spectrogram"] = self.spec_cfg.to_dict()
-        meta_raw = json.dumps(meta, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(QUAD_MAGIC)
-            fh.write(struct.pack("<I", len(meta_raw)))
-            fh.write(meta_raw)
-            fh.write(struct.pack("<Q", len(self._track_ids)))
-            for tid, block in zip(self._track_ids, self._hashes):
-                raw = tid.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<Q", block.shape[0]))
-            fh.write(struct.pack("<Q", self.n_quads))
-            fh.write(np.ascontiguousarray(lay["hashes"], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(lay["t0"], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(lay["dt"], dtype="<f8").tobytes())
+        arrays = {
+            "hash": np.concatenate(self._hashes),
+            "t0": np.concatenate(self._t0),
+            "dt": np.concatenate(self._dt),
+        }
+        container.write(path, QUAD_KIND, arrays, meta)
 
     @classmethod
     def load(cls, path: str | Path) -> "QuadDB":
+        arrays, meta = container.read(path, QUAD_KIND)
         try:
-            blob = Path(path).read_bytes()
-        except FileNotFoundError as exc:
-            raise DataError(f"no such quad database: {path}") from exc
-        if blob[:8] != QUAD_MAGIC:
-            raise DecodeError(f"{path}: not a quad database")
-        off = 8
-        try:
-            (meta_len,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            meta = json.loads(blob[off : off + meta_len].decode("utf-8"))
-            off += meta_len
-            (n_tracks,) = struct.unpack_from("<Q", blob, off)
-            off += 8
-            names, sizes = [], []
-            for _ in range(n_tracks):
-                (name_len,) = struct.unpack_from("<I", blob, off)
-                off += 4
-                names.append(blob[off : off + name_len].decode("utf-8"))
-                off += name_len
-                (n,) = struct.unpack_from("<Q", blob, off)
-                off += 8
-                sizes.append(n)
-            (total,) = struct.unpack_from("<Q", blob, off)
-            off += 8
-            if total != sum(sizes):
-                raise DecodeError(f"{path}: quad count mismatch")
-            need = total * 4 * 8 + total * 8 * 2
-            if len(blob) - off != need:
-                raise DecodeError(f"{path}: truncated or trailing bytes")
-            hashes = np.frombuffer(blob, dtype="<f8", count=total * 4, offset=off)
-            off += total * 32
-            t0 = np.frombuffer(blob, dtype="<f8", count=total, offset=off)
-            off += total * 8
-            dt = np.frombuffer(blob, dtype="<f8", count=total, offset=off)
-        except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DecodeError(f"{path}: corrupt quad database: {exc}") from exc
-        epsilon = meta.pop("epsilon", HASH_EPSILON)
-        spec_cfg = SpectrogramConfig.from_dict(meta.pop("spectrogram"))
-        db = cls(spec_cfg=spec_cfg, epsilon=epsilon, meta=meta)
-        hashes = hashes.reshape(total, 4)
-        start = 0
-        for name, size in zip(names, sizes):
-            db.add_track_quads(
-                name,
-                {
-                    "hash": hashes[start : start + size],
-                    "t0": t0[start : start + size],
-                    "dt": dt[start : start + size],
-                },
-            )
-            start += size
+            hashes, t0, dt = arrays["hash"], arrays["t0"], arrays["dt"]
+            total = len(t0)
+            if (hashes.shape, t0.shape, dt.shape) != ((total, 4), (total,), (total,)):
+                raise DataError("quad arrays disagree in length")
+            spec_cfg = SpectrogramConfig.from_dict(meta["spectrogram"])
+            db = cls(spec_cfg=spec_cfg, epsilon=meta["epsilon"], meta=meta["info"])
+            start = 0
+            for tid, n in container.track_runs(meta, total):
+                sl = slice(start, start + n)
+                db.add_track_quads(tid, {"hash": hashes[sl], "t0": t0[sl], "dt": dt[sl]})
+                start += n
+        except (LookupError, TypeError, ValueError, DataError, ConfigError) as exc:
+            raise DecodeError(f"{path}: inconsistent quad database: {exc}") from exc
         return db

@@ -17,13 +17,11 @@ from .peaks import (
     read_peaks,
     select_peaks,
     write_peaks,
-    write_peaks_jsonl,
 )
 from .spectral import (
     SpectrogramConfig,
     mel_filterbank,
     melspectrogram,
-    segment_spectrogram,
     stft_magnitude,
     stretch_spectrogram,
 )
@@ -41,12 +39,10 @@ __all__ = [
     "melspectrogram",
     "read_peaks",
     "segment_clip",
-    "segment_spectrogram",
     "select_peaks",
     "stft_magnitude",
     "stretch_audio",
     "stretch_spectrogram",
     "write_peaks",
-    "write_peaks_jsonl",
     "write_wav",
 ]

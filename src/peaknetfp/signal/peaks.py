@@ -13,15 +13,15 @@ padded by cyclically repeating that ordering; an empty cloud is all zeros.
 """
 from __future__ import annotations
 
-import json
+import itertools
 import logging
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import maximum_filter
 
+from .. import container
 from ..errors import DataError, DecodeError, ShapeError
 from .audio import DEFAULT_SAMPLE_RATE, AudioClip, segment_clip
 from .spectral import SpectrogramConfig, melspectrogram
@@ -30,8 +30,7 @@ log = logging.getLogger(__name__)
 
 CLOUD_SIZE = 256
 
-PEAKS_MAGIC = b"PKFP0001"
-_ID_BYTES = 64
+PEAKS_KIND = "peaks"
 
 _NEIGHBORS = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=bool)
 
@@ -112,68 +111,32 @@ class PeakEntry:
 
 
 def write_peaks(path: str | Path, entries: list[PeakEntry]) -> None:
-    """Binary peak file: magic, record count, fixed-width records."""
+    """Peak file: every cloud, its segment index and runs of track ids."""
     if not entries:
         raise DataError("refusing to write an empty peak file")
     n_peaks = entries[0].points.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(PEAKS_MAGIC)
-        fh.write(struct.pack("<QI", len(entries), n_peaks))
-        for e in entries:
-            ident = e.track_id.encode("utf-8")
-            if len(ident) > _ID_BYTES:
-                raise DataError(f"track id too long for peak file: {e.track_id!r}")
-            if e.points.shape != (n_peaks, 3):
-                raise ShapeError(
-                    f"inconsistent cloud shape {e.points.shape} in peak file"
-                )
-            fh.write(ident.ljust(_ID_BYTES, b"\x00"))
-            fh.write(struct.pack("<Q", e.segment_index))
-            fh.write(np.ascontiguousarray(e.points, dtype="<f4").tobytes())
+    if any(e.points.shape != (n_peaks, 3) for e in entries):
+        raise ShapeError(f"peak file clouds must all have shape ({n_peaks}, 3)")
+    ids = (e.track_id for e in entries)
+    tracks = [[tid, len(list(run))] for tid, run in itertools.groupby(ids)]
+    arrays = {
+        "points": np.stack([e.points for e in entries]).astype("<f4", copy=False),
+        "segment": np.array([e.segment_index for e in entries], dtype="<u8"),
+    }
+    container.write(path, PEAKS_KIND, arrays, {"tracks": tracks})
 
 
 def read_peaks(path: str | Path) -> list[PeakEntry]:
-    """Inverse of write_peaks; validates magic and record sizes."""
+    """Inverse of write_peaks."""
+    arrays, meta = container.read(path, PEAKS_KIND)
     try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read peak file {path}: {exc}") from exc
-    if blob[:8] != PEAKS_MAGIC:
-        raise DecodeError(f"{path}: bad magic, not a peak file")
-    if len(blob) < 20:
-        raise DecodeError(f"{path}: truncated header")
-    n_records, n_peaks = struct.unpack_from("<QI", blob, 8)
-    rec_size = _ID_BYTES + 8 + n_peaks * 3 * 4
-    expected = 20 + n_records * rec_size
-    if len(blob) != expected:
-        raise DecodeError(
-            f"{path}: size mismatch, expected {expected} bytes got {len(blob)}"
-        )
-    out: list[PeakEntry] = []
-    off = 20
-    for _ in range(n_records):
-        ident = blob[off : off + _ID_BYTES].rstrip(b"\x00").decode("utf-8")
-        off += _ID_BYTES
-        (seg,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        pts = np.frombuffer(blob, dtype="<f4", count=n_peaks * 3, offset=off)
-        off += n_peaks * 3 * 4
-        out.append(PeakEntry(ident, int(seg), pts.reshape(n_peaks, 3).copy()))
-    return out
-
-
-def write_peaks_jsonl(path: str | Path, entries: list[PeakEntry]) -> None:
-    """Line-delimited text export for debugging."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in entries:
-            fh.write(
-                json.dumps(
-                    {
-                        "track": e.track_id,
-                        "segment": e.segment_index,
-                        "points": [[round(float(v), 6) for v in p] for p in e.points],
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+        points, segment = arrays["points"], arrays["segment"]
+        n = len(segment)
+        if (points.dtype, points.ndim, points.shape[::2], segment.shape) != (
+            np.float32, 3, (n, 3), (n,)
+        ):
+            raise DataError("cloud and segment arrays disagree in dtype or shape")
+        ids = [tid for tid, count in container.track_runs(meta, n) for _ in range(count)]
+    except (KeyError, TypeError, DataError) as exc:
+        raise DecodeError(f"{path}: inconsistent peak file: {exc}") from exc
+    return [PeakEntry(tid, int(seg), pts) for tid, seg, pts in zip(ids, segment, points)]

@@ -161,28 +161,6 @@ def stretch_spectrogram(spec: np.ndarray, factor: float) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def segment_spectrogram(
-    spec: np.ndarray,
-    frames_per_segment: int = FRAMES_PER_SEGMENT,
-    hop_frames: int = FRAMES_PER_SEGMENT // 2,
-) -> np.ndarray:
-    """Cut a spectrogram into full windows along time, like segment_clip.
-
-    Returns shape (n_segments, n_mels, frames_per_segment).
-    """
-    s = np.asarray(spec)
-    if s.ndim != 2:
-        raise ShapeError(f"expected a 2-D spectrogram, got {s.shape}")
-    if s.shape[1] < frames_per_segment:
-        raise DataError(
-            f"spectrogram too short to segment: {s.shape[1]} < {frames_per_segment}"
-        )
-    n_seg = (s.shape[1] - frames_per_segment) // hop_frames + 1
-    return np.stack(
-        [s[:, i * hop_frames : i * hop_frames + frames_per_segment] for i in range(n_seg)]
-    )
-
-
 def fit_frames(spec: np.ndarray, n_frames: int) -> np.ndarray:
     """Crop or edge-pad a spectrogram (start-aligned) to exactly n_frames."""
     s = np.asarray(spec)

@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import PeakEncoder
-from .errors import ConfigError, ContractError, DataError, TrainingDiverged
+from . import container
+from .encoder import CHECKPOINT, PeakEncoder
+from .errors import ConfigError, ContractError, DataError, DecodeError, TrainingDiverged
 from .signal.audio import AudioClip
 from .signal.peaks import CLOUD_SIZE, extract_peaks
 from .signal.spectral import (
@@ -237,41 +238,30 @@ def _cosine_lr(cfg: TrainConfig, global_step: int, total_steps: int) -> float:
     return cfg.lr_min + 0.5 * (cfg.lr - cfg.lr_min) * (1.0 + math.cos(math.pi * frac))
 
 
-def _full_state(model: PeakEncoder, opt: ad.AdamState, cfg: TrainConfig, epochs_done: int) -> dict:
-    state = model.state_arrays()
+def _full_state(
+    model: PeakEncoder, opt: ad.AdamState, cfg: TrainConfig, epochs_done: int
+) -> tuple[dict, dict]:
+    arrays, meta = model.state()
     for name, arr in opt.m.items():
-        state[f"opt.m/{name}"] = arr
+        arrays[f"opt.m/{name}"] = np.asarray(arr, dtype=np.float32)
     for name, arr in opt.v.items():
-        state[f"opt.v/{name}"] = arr
-    # as 8 little-endian bytes, like the config: a float32 scalar is exact
-    # only up to 2**24
-    state["meta/opt_step_u64le"] = np.frombuffer(
-        int(opt.step).to_bytes(8, "little"), dtype=np.uint8
-    ).astype(np.float32)
-    state["meta/epochs_done"] = np.float32(epochs_done)
-    cfg_bytes = json.dumps(cfg.to_dict(), sort_keys=True).encode("utf-8")
-    state["meta/train_config_utf8"] = np.frombuffer(cfg_bytes, dtype=np.uint8).astype(
-        np.float32
-    )
-    return state
+        arrays[f"opt.v/{name}"] = np.asarray(arr, dtype=np.float32)
+    meta.update(train_config=cfg.to_dict(), opt_step=opt.step, epochs_done=epochs_done)
+    return arrays, meta
 
 
-def _restore_opt(model: PeakEncoder, state: dict) -> tuple[ad.AdamState, int]:
-    opt = ad.AdamState()
-    for name in model.params:
-        mkey, vkey = f"opt.m/{name}", f"opt.v/{name}"
-        if mkey not in state or vkey not in state:
-            raise DataError(f"checkpoint missing optimizer state for {name!r}")
-        opt.m[name] = state[mkey].astype(model.dtype).copy()
-        opt.v[name] = state[vkey].astype(model.dtype).copy()
-    if "meta/opt_step_u64le" in state:
-        raw = state["meta/opt_step_u64le"]
-        if raw.shape != (8,):
-            raise DataError(f"checkpoint optimizer step has shape {raw.shape}, not (8,)")
-        opt.step = int.from_bytes(raw.astype(np.uint8).tobytes(), "little")
-    else:  # checkpoints that stored the step as a float32 scalar
-        opt.step = int(state.get("meta/opt_step", np.float32(0.0)))
-    epochs_done = int(state.get("meta/epochs_done", np.float32(0.0)))
+def _restore_opt(
+    model: PeakEncoder, arrays: dict, meta: dict
+) -> tuple[ad.AdamState, int]:
+    step, epochs_done = meta.get("opt_step"), meta.get("epochs_done")
+    if not all(type(n) is int and n >= 0 for n in (step, epochs_done)):
+        raise DecodeError("checkpoint has no optimizer step and epoch count")
+    opt = ad.AdamState(step=step)
+    for name, p in model.params.items():
+        for moments, key in ((opt.m, f"opt.m/{name}"), (opt.v, f"opt.v/{name}")):
+            if key not in arrays or arrays[key].shape != p.data.shape:
+                raise DecodeError(f"checkpoint has no optimizer state {key!r}")
+            moments[name] = arrays[key].astype(model.dtype)
     return opt, epochs_done
 
 
@@ -295,9 +285,9 @@ def train(
     opt = ad.AdamState()
     start_epoch = 0
     if resume is not None:
-        state = ad.load_checkpoint(resume)
-        model = PeakEncoder.from_checkpoint(resume)
-        opt, start_epoch = _restore_opt(model, state)
+        arrays, meta = container.read(resume, CHECKPOINT)
+        model = PeakEncoder.from_state(arrays, meta)
+        opt, start_epoch = _restore_opt(model, arrays, meta)
         log.info("resumed from %s at epoch %d (step %d)", resume, start_epoch, opt.step)
     elif model is None:
         model = PeakEncoder(seed=cfg.seed)
@@ -313,7 +303,7 @@ def train(
     def checkpoint(epochs_done: int) -> None:
         if out_path is None:
             return
-        ad.save_checkpoint(out_path, _full_state(model, opt, cfg, epochs_done))
+        container.write(out_path, CHECKPOINT, *_full_state(model, opt, cfg, epochs_done))
         result.checkpoint_path = Path(out_path)
 
     try:
@@ -328,10 +318,10 @@ def train(
                 loss_value = float(loss.data)
                 if not math.isfinite(loss_value):
                     dump = Path(out_path or "train").with_suffix(".nan-dump.ckpt")
-                    state = _full_state(model, opt, cfg, epoch)
-                    state["dump/batch_clouds"] = clouds
-                    state["dump/batch_factors"] = batch_meta["factors"].astype(np.float32)
-                    ad.save_checkpoint(dump, state)
+                    arrays, meta = _full_state(model, opt, cfg, epoch)
+                    arrays["dump/batch_clouds"] = clouds
+                    arrays["dump/batch_factors"] = batch_meta["factors"].astype(np.float32)
+                    container.write(dump, CHECKPOINT, arrays, meta)
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch} step {step}; "
                         f"state dumped to {dump}"

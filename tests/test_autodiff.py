@@ -1,5 +1,5 @@
 """Autodiff stack: every primitive against central finite differences,
-Adam against hand-worked arithmetic, checkpoint files against themselves.
+Adam against hand-worked arithmetic, checkpoint containers against themselves.
 """
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from peaknetfp import autodiff as ad
+from peaknetfp import container
 from peaknetfp import reference as ref
+from peaknetfp.encoder import CHECKPOINT, BranchSpec, EncoderConfig, PeakEncoder, StageSpec
 from peaknetfp.errors import ContractError, DataError, DecodeError, ShapeError
 
 RTOL = 1e-5
@@ -360,50 +362,68 @@ class TestCheckpointFiles:
         return {
             "enc/w1": rng.normal(size=(4, 3)).astype(np.float32),
             "enc/b1": rng.normal(size=3).astype(np.float32),
-            "step": np.float32(17.0),
+            "scalar": np.float32(17.0),
         }
 
     def test_roundtrip_bit_exact_and_ordered(self, tmp_path):
         path = tmp_path / "model.ckpt"
         payload = self._payload()
-        ad.save_checkpoint(path, payload)
-        back = ad.load_checkpoint(path)
+        container.write(path, CHECKPOINT, payload, {"opt_step": 2**53 + 1})
+        back, meta = container.read(path, CHECKPOINT)
         assert list(back) == list(payload)
         for k, v in payload.items():
-            np.testing.assert_array_equal(back[k], np.asarray(v, dtype=np.float32))
-        assert back["step"].shape == ()
+            assert back[k].dtype == np.float32
+            np.testing.assert_array_equal(back[k], v)
+        assert back["scalar"].shape == ()
+        assert meta == {"opt_step": 2**53 + 1}
 
     def test_float64_saved_as_float32(self, tmp_path):
+        config = EncoderConfig(
+            stage1=StageSpec(8, (BranchSpec(2, 0.3, (4, 4)),)),
+            stage2=StageSpec(4, (BranchSpec(2, 0.4, (8, 8)),)),
+            global_mlp=(8, 6),
+        )
+        model = PeakEncoder(config, seed=1, dtype=np.float64)
         path = tmp_path / "m.ckpt"
-        ad.save_checkpoint(path, {"x": np.array([1.0, 2.0])})
-        assert ad.load_checkpoint(path)["x"].dtype == np.float32
+        model.save(path)
+        arrays, _ = container.read(path, CHECKPOINT)
+        assert {a.dtype for a in arrays.values()} == {np.dtype(np.float32)}
+        back = PeakEncoder.from_checkpoint(path, dtype=np.float64)
+        for name, p in model.params.items():
+            assert back.params[name].data.dtype == np.float64
+            np.testing.assert_array_equal(
+                back.params[name].data, p.data.astype(np.float32)
+            )
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(DecodeError):
-            ad.load_checkpoint(path)
+            container.read(path, CHECKPOINT)
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        ad.save_checkpoint(path, self._payload())
+        container.write(path, CHECKPOINT, self._payload(), {})
         blob = bytearray(path.read_bytes())
-        blob[8] = 99
+        blob[7] = ord("9")
         path.write_bytes(bytes(blob))
         with pytest.raises(DecodeError):
-            ad.load_checkpoint(path)
+            container.read(path, CHECKPOINT)
+        path.write_bytes(b"PNFPCKPT" + bytes(blob[8:]))  # the retired format
+        with pytest.raises(DecodeError, match="retired"):
+            container.read(path, CHECKPOINT)
 
     def test_truncation_and_trailing_garbage_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        ad.save_checkpoint(path, self._payload())
+        container.write(path, CHECKPOINT, self._payload(), {})
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])
         with pytest.raises(DecodeError):
-            ad.load_checkpoint(path)
+            container.read(path, CHECKPOINT)
         path.write_bytes(blob + b"xx")
         with pytest.raises(DecodeError):
-            ad.load_checkpoint(path)
+            container.read(path, CHECKPOINT)
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
-            ad.load_checkpoint(tmp_path / "absent.ckpt")
+            container.read(tmp_path / "absent.ckpt", CHECKPOINT)

@@ -45,6 +45,45 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_corrupt_fp_db_is_data_error(self, tmp_path, eval_rig, capsys):
+        blob = bytearray(eval_rig.db_path.read_bytes())
+        blob[-1] ^= 0xFF
+        bad = tmp_path / "fp.db"
+        bad.write_bytes(bytes(blob))
+        code = main(
+            [
+                "query",
+                "--db",
+                str(bad),
+                "--model",
+                str(eval_rig.model_path),
+                "--audio",
+                str(eval_rig.wav_dir / "track000.wav"),
+            ]
+        )
+        assert code == 2
+        assert "checksum" in capsys.readouterr().err
+
+    def test_corrupt_quad_db_is_data_error(self, tmp_path, eval_rig, capsys):
+        blob = bytearray(eval_rig.quad_path.read_bytes())
+        blob[blob.index(b'"spectrogram"') + 3] ^= 0x01
+        bad = tmp_path / "quad.db"
+        bad.write_bytes(bytes(blob))
+        code = main(
+            [
+                "quadfp",
+                "query",
+                "--db",
+                str(bad),
+                "--audio",
+                str(eval_rig.wav_dir / "track000.wav"),
+                "--len",
+                "3",
+            ]
+        )
+        assert code == 2
+        assert "checksum" in capsys.readouterr().err
+
     def test_bad_config_json_is_data_error(self, tmp_path, eval_rig):
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")

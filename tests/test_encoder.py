@@ -311,7 +311,7 @@ class TestCheckpointPersistence:
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = PeakEncoder(config=tiny_config(), seed=9)
-        state = model.state_arrays()
-        state.pop("p/g.l0.w")
+        arrays, _ = model.state()
+        arrays.pop("p/g.l0.w")
         with pytest.raises(DataError):
-            model.load_state(state)
+            model.load_state(arrays)

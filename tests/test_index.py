@@ -82,9 +82,17 @@ class TestDBContainer:
         with pytest.raises(DataError):
             db.add_track("d", np.zeros((0, 8), dtype=np.float32))
 
-    def test_empty_database_rejected(self):
+    def test_nan_rows_rejected(self):
+        v = unit_rows(np.random.default_rng(0), 3, 8)
+        v[1] = np.nan
+        with pytest.raises(ContractError):
+            FingerprintDB().add_track("n", v)
+
+    def test_empty_database_rejected(self, tmp_path):
         with pytest.raises(DataError):
             FingerprintDB().search(np.zeros((1, 8), dtype=np.float32), k=1)
+        with pytest.raises(DataError):
+            FingerprintDB().save(tmp_path / "empty.db")
 
 
 class TestSerialization:

@@ -324,10 +324,12 @@ class TestSerialization:
         with pytest.raises(DataError):
             QuadDB.load(tmp_path / "absent.quad")
 
-    def test_duplicate_and_empty_db(self):
+    def test_duplicate_and_empty_db(self, tmp_path):
         db = QuadDB()
         db.add_track("t", synth_track(3.0, seed=51))
         with pytest.raises(DataError):
             db.add_track("t", synth_track(3.0, seed=52))
         with pytest.raises(DataError):
             QuadDB().match_quads({"hash": np.zeros((0, 4)), "t0": [], "dt": []})
+        with pytest.raises(DataError):
+            QuadDB().save(tmp_path / "empty.quad")

@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 import peaknetfp.autodiff as ad
+import peaknetfp.container as container
 import peaknetfp.reference as ref
-from peaknetfp.encoder import BranchSpec, EncoderConfig, PeakEncoder, StageSpec
-from peaknetfp.errors import ConfigError, ContractError, DataError, TrainingDiverged
+from peaknetfp.encoder import CHECKPOINT, BranchSpec, EncoderConfig, PeakEncoder, StageSpec
+from peaknetfp.errors import (
+    ConfigError,
+    ContractError,
+    DataError,
+    DecodeError,
+    TrainingDiverged,
+)
 from peaknetfp.signal.peaks import extract_peaks
 from peaknetfp.signal.spectral import SpectrogramConfig, fit_frames, melspectrogram
 from peaknetfp.training import (
@@ -323,8 +330,8 @@ class TestTrainLoop:
         assert result.records == []
         for name in fresh.params:
             np.testing.assert_array_equal(model.params[name].data, fresh.params[name].data)
-        state = ad.load_checkpoint(out)
-        assert int(state["meta/epochs_done"]) == 0
+        _, meta = container.read(out, CHECKPOINT)
+        assert meta["epochs_done"] == 0 and meta["opt_step"] == 0
 
     def test_optimizer_step_roundtrips_exactly_past_float32(self, tmp_path):
         model = PeakEncoder(tiny_config(), seed=3)
@@ -334,26 +341,33 @@ class TestTrainLoop:
             step=2**24 + 1,
         )
         path = tmp_path / "step.ckpt"
-        ad.save_checkpoint(path, _full_state(model, opt, tiny_cfg(), 7))
-        state = ad.load_checkpoint(path)
-        restored, epochs_done = _restore_opt(model, state)
+        container.write(path, CHECKPOINT, *_full_state(model, opt, tiny_cfg(), 7))
+        arrays, meta = container.read(path, CHECKPOINT)
+        restored, epochs_done = _restore_opt(model, arrays, meta)
         assert restored.step == 2**24 + 1
         assert epochs_done == 7
-        state["meta/opt_step_u64le"] = state["meta/opt_step_u64le"][:5]
-        with pytest.raises(DataError):
-            _restore_opt(model, state)
+        for bad in (float(2**24 + 1), -1, None):
+            with pytest.raises(DecodeError):
+                _restore_opt(model, arrays, dict(meta, opt_step=bad))
+        name = next(iter(model.params))
+        with pytest.raises(DecodeError):
+            _restore_opt(model, {**arrays, f"opt.v/{name}": np.zeros(1)}, meta)
 
-    def test_optimizer_step_scalar_form_still_loads(self):
-        model = PeakEncoder(tiny_config(), seed=3)
-        opt = ad.AdamState(
-            m={k: np.zeros_like(p.data) for k, p in model.params.items()},
-            v={k: np.zeros_like(p.data) for k, p in model.params.items()},
-        )
-        state = _full_state(model, opt, tiny_cfg(), 2)
-        del state["meta/opt_step_u64le"]
-        state["meta/opt_step"] = np.float32(123)
-        restored, _ = _restore_opt(model, state)
-        assert restored.step == 123
+    def test_resume_reads_the_checkpoint_once(self, toy_dataset, tmp_path, monkeypatch):
+        cfg = tiny_cfg(epochs=2, steps_per_epoch=1)
+        ckpt = tmp_path / "half.ckpt"
+        model = PeakEncoder(tiny_config(), seed=2)
+        train(toy_dataset, cfg, model=model, out_path=ckpt, stop_after=1)
+        reads = []
+        real_read = container.read
+
+        def counting_read(*args):
+            reads.append(args)
+            return real_read(*args)
+
+        monkeypatch.setattr(container, "read", counting_read)
+        train(toy_dataset, cfg, resume=ckpt)
+        assert reads == [(ckpt, CHECKPOINT)]
 
     def test_nan_loss_aborts_with_diagnostic_dump(self, toy_dataset, tmp_path):
         model = PeakEncoder(tiny_config(), seed=2)
@@ -364,8 +378,9 @@ class TestTrainLoop:
             train(toy_dataset, tiny_cfg(), model=model, out_path=out)
         dump = out.with_suffix(".nan-dump.ckpt")
         assert dump.exists()
-        state = ad.load_checkpoint(dump)
-        assert state["dump/batch_clouds"].shape == (4, 256, 3)
+        arrays, meta = container.read(dump, CHECKPOINT)
+        assert arrays["dump/batch_clouds"].shape == (4, 256, 3)
+        assert meta["epochs_done"] == 0
 
     def test_log_file_lines_match_records(self, toy_dataset, tmp_path):
         log_path = tmp_path / "train.jsonl"
