@@ -1,15 +1,19 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
 Just enough machinery for the point-set encoder and its contrastive loss:
-dense matmul, elementwise arithmetic, relu, concat, max/sum/mean reductions,
-log-softmax, row L2 normalization, row gathering, and batch normalization.
+dense matmul and the fused linear layer, same-shape add/sub/mul, scalar
+mul, transpose, relu, concat, max/sum reductions, log-softmax, row L2
+normalization, reshape, row gathering, scale-and-shift, and batch
+normalization.
 Gradients flow through a recorded tape of closures, replayed in reverse
 topological order. float32 is the working dtype; float64 inputs are honored
 (gradient checks run the whole stack in float64).
 
 Deliberate restrictions, enforced loudly:
 - matmul is strictly 2-D;
-- broadcasting exists only where stated (bias add, scale_bias, scalars);
+- broadcasting exists only where stated: the bias of ``linear``, the
+  per-channel vectors of ``scale_bias`` and ``batch_norm``, and ``mul``'s
+  scalar; ``add`` and ``sub`` take same-shape tensors only;
 - ``backward()`` starts from scalars only.
 
 ``backward()`` consumes the graph it runs through: each node releases its
@@ -33,14 +37,7 @@ from .errors import ContractError, ShapeError
 
 DEFAULT_DTYPE = np.float32
 
-_debug_checks = False
 _grad_enabled = True
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """When enabled, tensor construction rejects NaN/Inf values."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
 
 
 @contextmanager
@@ -67,8 +64,6 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
-        if _debug_checks and not np.isfinite(self.data).all():
-            raise ContractError("non-finite values in tensor")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -146,39 +141,20 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def add(a: Tensor, b: Tensor | float) -> Tensor:
-    if not isinstance(b, Tensor):
-        out_data = a.data + float(b)
-
-        def back():
-            _accumulate(a, out.grad)
-
-        out = _make(out_data, (a,), back)
-        return out
-    if a.data.shape == b.data.shape:
-        out_data = a.data + b.data
-
-        def back():
-            _accumulate(a, out.grad)
-            _accumulate(b, out.grad)
-
-    elif b.data.ndim == 1 and a.data.shape[-1] == b.data.shape[0]:
-        # bias add over the last axis; the only tensor broadcast we allow
-        out_data = a.data + b.data
-
-        def back():
-            _accumulate(a, out.grad)
-            _accumulate(b, out.grad.reshape(-1, b.data.shape[0]).sum(axis=0))
-
-    else:
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"add: incompatible shapes {a.data.shape} / {b.data.shape}")
+    out_data = a.data + b.data
+
+    def back():
+        _accumulate(a, out.grad)
+        _accumulate(b, out.grad)
+
     out = _make(out_data, (a, b), back)
     return out
 
 
-def sub(a: Tensor, b: Tensor | float) -> Tensor:
-    if not isinstance(b, Tensor):
-        return add(a, -float(b))
+def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"sub: incompatible shapes {a.data.shape} / {b.data.shape}")
     out_data = a.data - b.data
@@ -323,31 +299,6 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
             _accumulate(a, np.full_like(a.data, out.grad))
         else:
             _accumulate(a, np.broadcast_to(np.expand_dims(out.grad, axis), a.data.shape))
-
-    out = _make(out_data, (a,), back)
-    return out
-
-
-def mean(a: Tensor, axis: int | None = None) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(reduce_sum(a, axis), 1.0 / n)
-
-
-def log(a: Tensor) -> Tensor:
-    out_data = np.log(a.data)
-
-    def back():
-        _accumulate(a, out.grad / a.data)
-
-    out = _make(out_data, (a,), back)
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def back():
-        _accumulate(a, out.grad * out_data)
 
     out = _make(out_data, (a,), back)
     return out

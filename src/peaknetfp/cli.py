@@ -142,25 +142,12 @@ def cmd_build_index(args) -> int:
     return 0
 
 
-def _ivfpq_from_meta(db: FingerprintDB) -> IVFPQIndex:
-    params = db.meta.get("ivfpq")
-    if params is None:
-        return IVFPQIndex.build(db)
-    return IVFPQIndex.build(
-        db,
-        n_list=params["n_list"],
-        n_probe=params["n_probe"],
-        m=params["m"],
-        seed=params.get("seed", 0),
-    )
-
-
 def cmd_query(args) -> int:
     db = FingerprintDB.load(args.db)
     model = PeakEncoder.from_checkpoint(args.model)
     samples = _cut(load_audio(args.audio), args.offset, args.len, args.factor)
     emb = model.fingerprints(clip_clouds(samples))
-    backend = _ivfpq_from_meta(db) if args.ivfpq else None
+    backend = IVFPQIndex.from_meta(db) if args.ivfpq else None
     matches = sequence_match(db, emb, k=args.k, backend=backend)
     if not matches:
         print("no match")
@@ -171,7 +158,10 @@ def cmd_query(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = EvalConfig.from_dict(_read_json(args.config)) if args.config else EvalConfig()
+    raw = _read_json(args.config) if args.config else {}
+    if args.system:  # `quadfp evaluate` presets the system
+        raw["system"] = args.system
+    cfg = EvalConfig.from_dict(raw)
     tracks = _load_tracks(args.audio)
     model = db = quad_db = None
     if cfg.system == "peaknetfp":
@@ -216,24 +206,6 @@ def cmd_quadfp_query(args) -> int:
         print(
             f"{rank}\t{m.track_id}\tvotes={m.votes}\tstretch={m.stretch:.3f}\t"
             f"offset={m.offset_seconds:.2f}s"
-        )
-    return 0
-
-
-def cmd_quadfp_evaluate(args) -> int:
-    raw = _read_json(args.config) if args.config else {}
-    raw["system"] = "quadfp"
-    cfg = EvalConfig.from_dict(raw)
-    tracks = _load_tracks(args.audio)
-    quad_db = QuadDB.load(args.db)
-    report = run_sweep(cfg, tracks, quad_db=quad_db)
-    out = Path(args.out)
-    report.write_jsonl(out)
-    report.write_csv(out.with_suffix(".csv"))
-    for c in report.cells:
-        print(
-            f"quadfp\tfactor={c['factor']:g}\tlen={c['length']:g}s\t"
-            f"hr@1={c['hr_at_1']:.3f} ({c['hits']}/{c['n_queries']})"
         )
     return 0
 
@@ -365,7 +337,7 @@ def build_parser() -> _Parser:
     s.add_argument("--model")
     s.add_argument("--quad-db")
     s.add_argument("-o", "--out", required=True, help="JSONL report path")
-    s.set_defaults(func=cmd_evaluate)
+    s.set_defaults(func=cmd_evaluate, system=None)
 
     q = sub.add_parser("quadfp", help="quad-constellation baseline")
     qsub = q.add_subparsers(dest="quad_command", required=True)
@@ -387,9 +359,9 @@ def build_parser() -> _Parser:
     s = qsub.add_parser("evaluate")
     s.add_argument("-c", "--config")
     s.add_argument("--audio", required=True)
-    s.add_argument("--db", required=True)
+    s.add_argument("--db", dest="quad_db", required=True)
     s.add_argument("-o", "--out", required=True)
-    s.set_defaults(func=cmd_quadfp_evaluate)
+    s.set_defaults(func=cmd_evaluate, system="quadfp")
 
     s = sub.add_parser("selftest", help="run the built-in oracle cross-checks")
     s.set_defaults(func=cmd_selftest)

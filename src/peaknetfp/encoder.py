@@ -72,8 +72,8 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if self.distance_mode not in ("3d", "2d"):
             raise ConfigError(f"unknown distance mode {self.distance_mode!r}")
-        if self.stage2.n_anchors >= self.stage1.n_anchors:
-            raise ConfigError("anchor counts must decrease from stage to stage")
+        if not 0 < self.stage2.n_anchors < self.stage1.n_anchors:
+            raise ConfigError("anchor counts must be positive and decrease stage to stage")
         for si, stage in enumerate((self.stage1, self.stage2), start=1):
             if not stage.branches:
                 raise ConfigError(f"stage {si} has no branches")
@@ -83,10 +83,13 @@ class EncoderConfig:
                 raise ConfigError(
                     f"stage {si}: radius must grow with group size, got {radii}"
                 )
-            if any(b.group_size <= 0 or b.radius <= 0 or not b.mlp for b in stage.branches):
+            if any(
+                b.group_size <= 0 or b.radius <= 0 or not b.mlp or min(b.mlp) <= 0
+                for b in stage.branches
+            ):
                 raise ConfigError(f"stage {si}: bad branch spec")
-        if not self.global_mlp:
-            raise ConfigError("global MLP must have at least one layer")
+        if not self.global_mlp or min(self.global_mlp) <= 0:
+            raise ConfigError("global MLP needs at least one layer, all widths positive")
 
     @property
     def embed_dim(self) -> int:

@@ -172,7 +172,7 @@ def run_sweep(
 
     backend = None
     if cfg.system == "peaknetfp" and cfg.backend == "ivfpq":
-        backend = IVFPQIndex.build(db, seed=cfg.seed)
+        backend = IVFPQIndex.from_meta(db)
 
     metadata = {
         "config": cfg.to_dict(),

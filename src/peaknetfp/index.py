@@ -88,9 +88,6 @@ class FingerprintDB:
     def track_ids(self) -> list[str]:
         return list(self._track_ids)
 
-    def track_length(self, track_id: str) -> int:
-        return self._blocks[self._track_ids.index(track_id)].shape[0]
-
     def track_vectors(self, track_id: str) -> np.ndarray:
         return self._blocks[self._track_ids.index(track_id)]
 
@@ -245,6 +242,12 @@ class IVFPQIndex:
             codes=np.stack(codes, axis=1),
             n_probe=min(n_probe, n_list),
         )
+
+    @classmethod
+    def from_meta(cls, db: FingerprintDB) -> "IVFPQIndex":
+        """The index whose parameters ``build-index --ivfpq`` stored in
+        ``db.meta["ivfpq"]``; ``build``'s defaults and seed 0 without them."""
+        return cls.build(db, **db.meta.get("ivfpq", {}))
 
     def search(
         self, queries: np.ndarray, k: int, rerank: int = 128

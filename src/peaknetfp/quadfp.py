@@ -296,18 +296,12 @@ class QuadDB:
 
     def query_quads(self, samples: np.ndarray) -> dict[str, np.ndarray]:
         spec = melspectrogram(np.asarray(samples, dtype=np.float32), self.spec_cfg)
-        return self.query_quads_from_spectrogram(spec)
-
-    def query_quads_from_spectrogram(self, spec: np.ndarray) -> dict[str, np.ndarray]:
         peaks = spectrogram_peaks(spec, self.fps)
         return enumerate_quads(peaks, self.fps, QUERY_QUADS_PER_SECOND)
 
     def match(self, samples: np.ndarray) -> list[QuadMatch]:
         """Rank tracks for a (possibly tempo-modified) audio excerpt."""
         return self.match_quads(self.query_quads(samples))
-
-    def match_spectrogram(self, spec: np.ndarray) -> list[QuadMatch]:
-        return self.match_quads(self.query_quads_from_spectrogram(spec))
 
     def match_quads(self, quads: dict[str, np.ndarray]) -> list[QuadMatch]:
         lay = self._layout()

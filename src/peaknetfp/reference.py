@@ -136,23 +136,6 @@ def naive_mips(vectors: np.ndarray, query: np.ndarray, k: int) -> list[tuple[int
     return scored[:k]
 
 
-def naive_quad_range_scan(
-    hashes: np.ndarray, query_hash: np.ndarray, eps: float
-) -> list[int]:
-    """Linear scan for hashes within +-eps of the query in every component."""
-    out = []
-    q = np.asarray(query_hash, dtype=np.float64)
-    for i in range(hashes.shape[0]):
-        ok = True
-        for d in range(4):
-            if abs(float(hashes[i, d]) - q[d]) > eps:
-                ok = False
-                break
-        if ok:
-            out.append(i)
-    return out
-
-
 def finite_difference_grad(fn, arrays: dict[str, np.ndarray], h: float = 1e-4) -> dict[str, np.ndarray]:
     """Central-difference gradients of scalar ``fn(arrays)`` per entry."""
     grads = {}

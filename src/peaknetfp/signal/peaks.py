@@ -23,7 +23,7 @@ from scipy.ndimage import maximum_filter
 
 from .. import container
 from ..errors import DataError, DecodeError, ShapeError
-from .audio import DEFAULT_SAMPLE_RATE, AudioClip, segment_clip
+from .audio import AudioClip, segment_clip
 from .spectral import SpectrogramConfig, melspectrogram
 
 log = logging.getLogger(__name__)
@@ -94,10 +94,18 @@ def clip_clouds(
     cfg: SpectrogramConfig | None = None,
     n_peaks: int = CLOUD_SIZE,
 ) -> np.ndarray:
-    """All segment peak clouds of a clip, shape (n_segments, n_peaks, 3)."""
+    """All segment peak clouds of a clip, shape (n_segments, n_peaks, 3).
+
+    A bare array is taken to be at ``cfg.sample_rate``; a clip at any other
+    rate is refused.
+    """
     cfg = cfg or SpectrogramConfig()
-    rate = clip.sample_rate if isinstance(clip, AudioClip) else DEFAULT_SAMPLE_RATE
-    windows = segment_clip(clip, sample_rate=rate)
+    if isinstance(clip, AudioClip) and clip.sample_rate != cfg.sample_rate:
+        raise DataError(
+            f"clip is at {clip.sample_rate} Hz, the spectrogram config at "
+            f"{cfg.sample_rate} Hz"
+        )
+    windows = segment_clip(clip, sample_rate=cfg.sample_rate)
     return np.stack([extract_peaks(melspectrogram(w, cfg), n_peaks) for w in windows])
 
 

@@ -25,9 +25,6 @@ from ..errors import ConfigError, DataError, ShapeError
 
 log = logging.getLogger(__name__)
 
-FRAMES_PER_SEGMENT = 32
-
-
 @dataclass(frozen=True)
 class SpectrogramConfig:
     sample_rate: int = 8000

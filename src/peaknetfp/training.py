@@ -4,9 +4,9 @@ Each batch holds ``pairs_per_batch`` segments: the original segment cloud and
 a tempo-stretched replica of the same content, interleaved (x_0, x̂_0, x_1,
 x̂_1, ...). Replicas are built in the spectrogram domain: crop the audio the
 stretched window needs, mel-transform, resample the time axis back to the
-segment frame count, re-extract peaks. The loss pulls each pair together
-against every other embedding in the batch (temperature-scaled softmax over
-inner products).
+segment frame count of the spectrogram config, re-extract peaks. The loss
+pulls each pair together against every other embedding in the batch
+(temperature-scaled softmax over inner products).
 
 Determinism: every epoch derives its own rng from (seed, epoch index), so a
 run resumed from an epoch-boundary checkpoint replays exactly the batches an
@@ -27,10 +27,9 @@ from . import autodiff as ad
 from . import container
 from .encoder import CHECKPOINT, PeakEncoder
 from .errors import ConfigError, ContractError, DataError, DecodeError, TrainingDiverged
-from .signal.audio import AudioClip
-from .signal.peaks import CLOUD_SIZE, extract_peaks
+from .signal.audio import SEGMENT_HOP_SECONDS, SEGMENT_SECONDS, AudioClip
+from .signal.peaks import CLOUD_SIZE, clip_clouds, extract_peaks
 from .signal.spectral import (
-    FRAMES_PER_SEGMENT,
     SpectrogramConfig,
     fit_frames,
     melspectrogram,
@@ -90,7 +89,13 @@ class TrainConfig:
 
 
 class SegmentDataset:
-    """Per-segment peak clouds of a track collection, plus stretch replicas."""
+    """Per-segment peak clouds of a track collection, plus stretch replicas.
+
+    Originals come from ``clip_clouds``, the front end queries go through.
+    Bare sample arrays are taken to be at the spectrogram config's rate; a
+    clip at another rate is refused. Replicas are fitted to the frame count
+    of an original segment at that config, ``1 + window // hop``.
+    """
 
     def __init__(
         self,
@@ -104,33 +109,30 @@ class SegmentDataset:
         self.n_peaks = n_peaks
         self._samples: list[np.ndarray] = []
         self.track_ids: list[str] = []
-        rows: list[tuple[int, int, int]] = []  # (track_idx, segment_idx, start)
+        rows: list[tuple[int, int]] = []  # (track_idx, start)
+        clouds: list[np.ndarray] = []
         sr = self.spec_cfg.sample_rate
-        win = int(round(sr * 1.0))
-        hop = win // 2
+        win = int(round(SEGMENT_SECONDS * sr))
+        hop = int(round(SEGMENT_HOP_SECONDS * sr))
         for ti, (track_id, audio) in enumerate(tracks):
-            x = audio.samples if isinstance(audio, AudioClip) else np.asarray(audio)
-            x = x.astype(np.float32, copy=False)
+            if not isinstance(audio, AudioClip):
+                audio = AudioClip(np.asarray(audio), sr)
+            x = audio.samples.astype(np.float32, copy=False)
             if x.size < win:
                 raise DataError(f"track {track_id!r} is shorter than one segment")
+            clouds.append(clip_clouds(AudioClip(x, audio.sample_rate), self.spec_cfg, n_peaks))
             self.track_ids.append(track_id)
             self._samples.append(x)
-            n_seg = (x.size - win) // hop + 1
-            rows.extend((ti, si, si * hop) for si in range(n_seg))
+            rows.extend((ti, si * hop) for si in range(len(clouds[-1])))
         self._rows = rows
         self._win = win
+        self._frames = 1 + win // self.spec_cfg.hop
         log.info("dataset: %d tracks, %d segments", len(tracks), len(rows))
-        self.originals = np.stack(
-            [self._window_cloud(ti, start, win, 1.0) for ti, _, start in rows]
-        )
+        self.originals = np.concatenate(clouds)
 
     @property
     def n_segments(self) -> int:
         return len(self._rows)
-
-    def segment_info(self, index: int) -> tuple[str, int]:
-        ti, si, _ = self._rows[index]
-        return self.track_ids[ti], si
 
     def eligible_indices(self, window_seconds: float) -> np.ndarray:
         """Segments whose start + window_seconds still fits the track."""
@@ -139,32 +141,23 @@ class SegmentDataset:
         return np.array(
             [
                 i
-                for i, (ti, _, start) in enumerate(self._rows)
+                for i, (ti, start) in enumerate(self._rows)
                 if start + need <= self._samples[ti].size
             ],
             dtype=np.int64,
         )
 
-    def _window_cloud(self, track_idx: int, start: int, length: int, factor: float) -> np.ndarray:
-        x = self._samples[track_idx][start : start + length]
-        spec = melspectrogram(x, self.spec_cfg)
-        if factor != 1.0:
-            spec = stretch_spectrogram(spec, factor)
-        spec = fit_frames(spec, FRAMES_PER_SEGMENT)
-        return extract_peaks(spec, self.n_peaks)
-
-    def original_cloud(self, index: int) -> np.ndarray:
-        return self.originals[index]
-
     def replica_cloud(self, index: int, factor: float) -> np.ndarray:
         """Same content as segment ``index`` played at ``factor`` x tempo."""
-        ti, _, start = self._rows[index]
+        ti, start = self._rows[index]
         need = int(round(self._win * factor))
         if start + need > self._samples[ti].size:
             raise DataError(
                 f"segment {index} cannot host a x{factor:.3f} replica window"
             )
-        return self._window_cloud(ti, start, need, factor)
+        spec = melspectrogram(self._samples[ti][start : start + need], self.spec_cfg)
+        spec = fit_frames(stretch_spectrogram(spec, factor), self._frames)
+        return extract_peaks(spec, self.n_peaks)
 
 
 def positive_pair_mask(n: int) -> np.ndarray:

@@ -54,15 +54,14 @@ def _primitive_fd_error() -> float:
     gather_idx = np.array([[0, 2, 1], [2, 2, 0]])
     cases = [
         (lambda t: ad.reduce_sum(ad.matmul(t["a"], t["b"])), {"a": r(3, 4), "b": r(4, 2)}),
-        (lambda t: ad.reduce_sum(ad.add(ad.add(t["a"], t["b"]), 0.3)), {"a": r(3, 4), "b": r(3, 4)}),
+        (lambda t: ad.reduce_sum(ad.mul(ad.add(t["a"], t["b"]), ad.constant(w34))), {"a": r(3, 4), "b": r(3, 4)}),
         (lambda t: ad.reduce_sum(ad.mul(ad.sub(t["a"], t["b"]), t["a"])), {"a": r(3, 4), "b": r(3, 4)}),
         (lambda t: ad.reduce_sum(ad.mul(ad.linear(t["x"], t["w"], t["b"]), ad.constant(w26))), {"x": r(2, 4), "w": r(4, 6), "b": r(6)}),
         (lambda t: ad.reduce_sum(ad.mul(ad.transpose(t["a"]), ad.constant(w43))), {"a": r(3, 4)}),
         (lambda t: ad.reduce_sum(ad.mul(ad.relu(t["a"]), ad.constant(w34))), {"a": relu_in}),
         (lambda t: ad.reduce_sum(ad.mul(ad.concat([t["a"], t["b"]], 1), ad.constant(w38))), {"a": r(3, 4), "b": r(3, 4)}),
         (lambda t: ad.reduce_sum(ad.reduce_max(t["a"], 1)), {"a": spaced}),
-        (lambda t: ad.reduce_sum(ad.mul(ad.mean(t["a"], 0), ad.constant(w4))), {"a": r(3, 4)}),
-        (lambda t: ad.reduce_sum(ad.log(ad.exp(t["a"]))), {"a": rng.uniform(0.5, 2.0, (3, 4))}),
+        (lambda t: ad.reduce_sum(ad.mul(ad.reduce_sum(t["a"], 0), ad.constant(w4))), {"a": r(3, 4)}),
         (lambda t: ad.reduce_sum(ad.mul(ad.log_softmax(t["a"], 1), ad.constant(w34))), {"a": r(3, 4) * 3.0}),
         (lambda t: ad.reduce_sum(ad.mul(ad.l2_normalize(t["a"], 1), ad.constant(w34))), {"a": r(3, 4) + np.sign(r(3, 4))}),
         (lambda t: ad.reduce_sum(ad.mul(ad.reshape(t["a"], (4, 3)), ad.constant(w43))), {"a": r(3, 4)}),

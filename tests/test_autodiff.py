@@ -48,18 +48,7 @@ class TestPrimitiveGradients:
     def test_add_same_shape_and_scalar(self):
         rng = np.random.default_rng(2)
         arrays = {"a": rand(rng, 3, 4), "b": rand(rng, 3, 4)}
-        check_grads(
-            lambda t: ad.reduce_sum(ad.add(ad.add(t["a"], t["b"]), 0.7)), arrays
-        )
-
-    def test_bias_add_broadcast(self):
-        rng = np.random.default_rng(3)
-        w = rand(rng, 4, 3)
-        arrays = {"a": rand(rng, 4, 3), "b": rand(rng, 3)}
-        check_grads(
-            lambda t: ad.reduce_sum(ad.mul(ad.add(t["a"], t["b"]), ad.constant(w))),
-            arrays,
-        )
+        check_grads(lambda t: ad.reduce_sum(ad.add(t["a"], t["b"])), arrays)
 
     def test_sub_mul(self):
         rng = np.random.default_rng(4)
@@ -107,19 +96,13 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(9)
         arrays = {"a": rand(rng, 3, 4)}
         if axis is None:
-            check_grads(lambda t: ad.mean(t["a"]), arrays)
+            check_grads(lambda t: ad.reduce_sum(t["a"]), arrays)
         else:
-            w = np.ones(4 if axis == 0 else 3)
+            w = rand(rng, 4 if axis == 0 else 3)
             check_grads(
-                lambda t: ad.reduce_sum(ad.mul(ad.mean(t["a"], axis), ad.constant(w))),
+                lambda t: ad.reduce_sum(ad.mul(ad.reduce_sum(t["a"], axis), ad.constant(w))),
                 arrays,
             )
-
-    def test_log_exp(self):
-        rng = np.random.default_rng(10)
-        arrays = {"a": rng.uniform(0.5, 2.0, (3, 4))}
-        check_grads(lambda t: ad.reduce_sum(ad.log(ad.exp(t["a"]))), arrays)
-        check_grads(lambda t: ad.reduce_sum(ad.exp(ad.log(t["a"]))), arrays)
 
     def test_log_softmax(self):
         rng = np.random.default_rng(11)
@@ -224,7 +207,7 @@ class TestPrimitiveGradients:
         }
 
         def build(t):
-            h = ad.relu(ad.add(ad.matmul(t["x"], t["w1"]), t["b1"]))
+            h = ad.relu(ad.linear(t["x"], t["w1"], t["b1"]))
             z = ad.l2_normalize(ad.matmul(h, t["w2"]), 1)
             return ad.reduce_sum(ad.mul(z, ad.constant(mask)))
 
@@ -288,19 +271,12 @@ class TestGraphMechanics:
         b = ad.Tensor(np.ones((3, 2)))
         with pytest.raises(ShapeError):
             ad.add(a, b)
+        with pytest.raises(ShapeError):  # no bias broadcast: linear adds its own
+            ad.add(a, ad.Tensor(np.ones(3)))
         with pytest.raises(ShapeError):
             ad.matmul(ad.Tensor(np.ones((2, 2, 2))), a)
         with pytest.raises(ShapeError):
             ad.mul(a, b)
-
-    def test_debug_checks_reject_nonfinite(self):
-        ad.set_debug_checks(True)
-        try:
-            with pytest.raises(ContractError):
-                ad.Tensor(np.array([1.0, np.nan]))
-        finally:
-            ad.set_debug_checks(False)
-        ad.Tensor(np.array([1.0, np.nan]))  # allowed when checks are off
 
     def test_float64_stays_float64(self):
         t = ad.Tensor(np.ones(3, dtype=np.float64))

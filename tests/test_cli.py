@@ -9,7 +9,7 @@ import pytest
 
 from peaknetfp import reference as ref
 from peaknetfp.cli import _cut, main
-from peaknetfp.encoder import checkpoint_id
+from peaknetfp.encoder import DEFAULT_CONFIG, checkpoint_id
 from peaknetfp.index import FingerprintDB
 from peaknetfp.signal.audio import AudioClip
 from peaknetfp.signal.peaks import read_peaks
@@ -89,6 +89,19 @@ class TestExitCodes:
         bad.write_text("{not json")
         code = main(
             ["train", "--audio", str(eval_rig.wav_dir), "-c", str(bad), "-o", str(tmp_path / "m.ckpt")]
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("global_mlp", [[-1, 128], [0, 128]])
+    def test_non_positive_encoder_width_is_config_error(self, tmp_path, eval_rig, global_mlp):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"train": {}, "encoder": {**DEFAULT_CONFIG.to_dict(), "global_mlp": global_mlp}}
+            )
+        )
+        code = main(
+            ["train", "--audio", str(eval_rig.wav_dir), "-c", str(cfg), "-o", str(tmp_path / "m.ckpt")]
         )
         assert code == 2
 
@@ -304,3 +317,17 @@ class TestQuadCli:
         assert code == 0
         meta = json.loads(out.read_text().splitlines()[0])
         assert meta["system"] == "quadfp"
+
+    def test_evaluate_equals_evaluate_with_the_quadfp_system(self, eval_rig, tmp_path):
+        grid = {"factors": [1.0, 1.2], "lengths": [3.0], "n_queries": 2, "seed": 1}
+        (tmp_path / "q.json").write_text(json.dumps(grid))
+        (tmp_path / "e.json").write_text(json.dumps({**grid, "system": "quadfp"}))
+        audio = ["--audio", str(eval_rig.wav_dir)]
+        quad = str(eval_rig.quad_path)
+        q_out, e_out = tmp_path / "q.jsonl", tmp_path / "e.jsonl"
+        q_args = ["quadfp", "evaluate", "-c", str(tmp_path / "q.json"), "--db", quad]
+        e_args = ["evaluate", "-c", str(tmp_path / "e.json"), "--quad-db", quad]
+        assert main(q_args + audio + ["-o", str(q_out)]) == 0
+        assert main(e_args + audio + ["-o", str(e_out)]) == 0
+        assert q_out.read_bytes() == e_out.read_bytes()
+        assert q_out.with_suffix(".csv").read_bytes() == e_out.with_suffix(".csv").read_bytes()

@@ -75,6 +75,25 @@ class TestConfig:
                 global_mlp=(4,),
             )
 
+    @pytest.mark.parametrize(
+        "anchors, mlp, global_mlp",
+        [
+            ((8, 0), (4,), (4,)),
+            ((8, -4), (4,), (4,)),
+            ((8, 4), (0,), (4,)),
+            ((8, 4), (4, -1), (4,)),
+            ((8, 4), (4,), (-1, 128)),
+            ((8, 4), (4,), (4, 0)),
+        ],
+    )
+    def test_non_positive_sizes_rejected(self, anchors, mlp, global_mlp):
+        with pytest.raises(ConfigError):
+            EncoderConfig(
+                stage1=StageSpec(anchors[0], (BranchSpec(2, 0.2, mlp),)),
+                stage2=StageSpec(anchors[1], (BranchSpec(2, 0.2, (4,)),)),
+                global_mlp=global_mlp,
+            )
+
     def test_unknown_distance_mode(self):
         with pytest.raises(ConfigError):
             EncoderConfig(

@@ -9,6 +9,7 @@ import pytest
 
 from peaknetfp import reference as ref
 from peaknetfp.errors import ConfigError, DataError
+from peaknetfp.index import FingerprintDB, IVFPQIndex
 from peaknetfp.evaluate import (
     DEFAULT_FACTORS,
     DEFAULT_LENGTHS,
@@ -165,6 +166,23 @@ class TestRunSweep:
         report = run_sweep(cfg, eval_rig.tracks, model=eval_rig.model, db=eval_rig.db)
         assert report.cell(1.0, 2.0)["hr_at_1"] == 1.0
         assert report.metadata["backend"] == "ivfpq"
+
+    def test_ivfpq_backend_uses_the_stored_parameters(self, eval_rig, monkeypatch):
+        db = FingerprintDB.load(eval_rig.db_path)
+        db.meta["ivfpq"] = {"n_list": 4, "n_probe": 2, "m": 4, "seed": 5}
+        built = []
+        real_build = IVFPQIndex.build.__func__
+
+        def spy(cls, db, **params):
+            built.append(params)
+            return real_build(cls, db, **params)
+
+        monkeypatch.setattr(IVFPQIndex, "build", classmethod(spy))
+        cfg = EvalConfig(
+            factors=(1.0,), lengths=(2.0,), n_queries=2, seed=4, backend="ivfpq"
+        )
+        run_sweep(cfg, eval_rig.tracks, model=eval_rig.model, db=db)
+        assert built == [db.meta["ivfpq"]]
 
     def test_missing_artifacts_rejected(self, eval_rig):
         with pytest.raises(ConfigError):

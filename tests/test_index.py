@@ -68,7 +68,7 @@ class TestDBContainer:
         assert db.track_ids == ["a", "b"]
         assert db.row_info(0) == ("a", 0)
         assert db.row_info(5) == ("b", 1)
-        assert db.track_length("b") == 3
+        assert len(db.track_vectors("b")) == 3
         np.testing.assert_array_equal(db.track_vectors("b"), db.matrix[4:])
 
     def test_rejects_bad_blocks(self):
@@ -220,6 +220,19 @@ class TestIVFPQ:
         rows, scores = index.search(db.matrix[:1], k=8)
         assert (rows[0] == -1).any()
         assert np.isneginf(scores[0][rows[0] == -1]).all()
+
+    def test_from_meta_uses_the_stored_parameters(self):
+        db = make_db({"a": 30, "b": 20}, dim=16, seed=2)
+        db.meta["ivfpq"] = {"n_list": 5, "n_probe": 2, "m": 4, "seed": 3}
+        got = IVFPQIndex.from_meta(db)
+        want = IVFPQIndex.build(db, n_list=5, n_probe=2, m=4, seed=3)
+        assert (got.centroids.shape[0], got.n_probe, got.codes.shape[1]) == (5, 2, 4)
+        np.testing.assert_array_equal(got.centroids, want.centroids)
+        np.testing.assert_array_equal(got.codes, want.codes)
+        del db.meta["ivfpq"]  # nothing stored: build's defaults at seed 0
+        np.testing.assert_array_equal(
+            IVFPQIndex.from_meta(db).codes, IVFPQIndex.build(db, seed=0).codes
+        )
 
     def test_dim_must_split_into_subspaces(self):
         db = make_db({"a": 10}, dim=20, seed=1)

@@ -276,7 +276,10 @@ class TestEndToEndAudio:
             spec = stretch_spectrogram(
                 melspectrogram(excerpt, SpectrogramConfig()), s
             )
-            ranked = corpus_db.match_spectrogram(spec)
+            peaks = spectrogram_peaks(spec, corpus_db.fps)
+            ranked = corpus_db.match_quads(
+                enumerate_quads(peaks, corpus_db.fps, QUERY_QUADS_PER_SECOND)
+            )
             assert ranked[0].track_id == "track2", f"factor {s}"
             assert abs(np.log2(ranked[0].stretch) - np.log2(s)) <= 2 * (2.0 / 32)
 

@@ -9,6 +9,7 @@ import pytest
 import peaknetfp.autodiff as ad
 import peaknetfp.container as container
 import peaknetfp.reference as ref
+from peaknetfp.corpus import make_track
 from peaknetfp.encoder import CHECKPOINT, BranchSpec, EncoderConfig, PeakEncoder, StageSpec
 from peaknetfp.errors import (
     ConfigError,
@@ -17,7 +18,8 @@ from peaknetfp.errors import (
     DecodeError,
     TrainingDiverged,
 )
-from peaknetfp.signal.peaks import extract_peaks
+from peaknetfp.signal.audio import AudioClip
+from peaknetfp.signal.peaks import clip_clouds, extract_peaks
 from peaknetfp.signal.spectral import SpectrogramConfig, fit_frames, melspectrogram
 from peaknetfp.training import (
     SegmentDataset,
@@ -174,8 +176,6 @@ class TestSegmentDataset:
         # 3 s at 8 kHz: (24000 - 8000) // 4000 + 1 = 5 windows per track
         assert toy_dataset.n_segments == 10
         assert toy_dataset.originals.shape == (10, 256, 3)
-        assert toy_dataset.segment_info(0) == ("track00", 0)
-        assert toy_dataset.segment_info(7) == ("track01", 2)
         # cached cloud == direct recomputation from the raw window
         x = make_tracks(2, 3.0, seed=11)[1][1]
         spec = melspectrogram(x[2 * 4000 : 2 * 4000 + 8000], SpectrogramConfig())
@@ -206,6 +206,19 @@ class TestSegmentDataset:
     def test_replica_rejected_without_room(self, toy_dataset):
         with pytest.raises(DataError):
             toy_dataset.replica_cloud(4, 2.0)  # last window of track00
+
+    def test_clouds_follow_the_spectrogram_config(self):
+        # 16 kHz at hop 256 is 63 frames a segment, not the 8 kHz default's 32
+        cfg = SpectrogramConfig(sample_rate=16000, n_fft=2048, hop=256)
+        clip = AudioClip(make_track(0, 4.0, sample_rate=16000), 16000)
+        dataset = SegmentDataset([("t", clip)], cfg)
+        assert dataset.n_segments == 7
+        np.testing.assert_array_equal(dataset.originals, clip_clouds(clip, cfg))
+        for i in (0, 3):
+            np.testing.assert_array_equal(dataset.replica_cloud(i, 1.0), dataset.originals[i])
+        for mismatched in (lambda: SegmentDataset([("t", clip)]), lambda: clip_clouds(clip)):
+            with pytest.raises(DataError):
+                mismatched()  # the default config is at 8 kHz
 
     def test_too_short_track_rejected(self):
         with pytest.raises(DataError):
