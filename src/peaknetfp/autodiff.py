@@ -278,7 +278,14 @@ def reduce_max(a: Tensor, axis: int) -> Tensor:
     out_data = a.data.max(axis=axis)
     if not (_grad_enabled and a.requires_grad):
         return Tensor(out_data)
-    idx = np.argmax(a.data, axis=axis)
+    # argmax, several times faster along a short strided axis: rank the hits
+    # from the end of the axis and keep the top rank, the lowest hit index
+    hit = a.data == np.expand_dims(out_data, axis)
+    if np.isnan(out_data).any():
+        hit |= np.isnan(a.data)  # argmax takes the first NaN
+    n = a.data.shape[axis]
+    rank = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))
+    idx = n - (np.moveaxis(hit, axis, -1) * rank).max(axis=-1).astype(np.intp)
 
     def back():
         g = np.zeros_like(a.data)
@@ -455,14 +462,11 @@ class AdamState:
     step: int = 0
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+# moment decay rates and denominator epsilon of Kingma & Ba (2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     """One in-place Adam update over named parameters."""
     state.step += 1
     t = state.step
@@ -472,8 +476,8 @@ def adam_step(
         g = p.grad
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

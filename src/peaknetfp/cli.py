@@ -88,7 +88,9 @@ def cmd_extract_peaks(args) -> int:
 
 def cmd_train(args) -> int:
     raw = _read_json(args.config) if args.config else {}
-    cfg = TrainConfig.from_dict(raw.get("train", raw))
+    # a file with a "train" or an "encoder" section, or else a bare train config
+    sectioned = "train" in raw or "encoder" in raw
+    cfg = TrainConfig.from_dict(raw.get("train", {}) if sectioned else raw)
     model = None
     if "encoder" in raw and not args.resume:
         model = PeakEncoder(EncoderConfig.from_dict(raw["encoder"]), seed=cfg.seed)

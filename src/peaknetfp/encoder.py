@@ -41,6 +41,13 @@ from .errors import ConfigError, DecodeError, ShapeError
 log = logging.getLogger(__name__)
 
 EMBED_DIM = 128
+# BatchNorm's variance epsilon and running-statistics momentum
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+# config keys that older checkpoints store, with the only value the encoder has
+_PINNED = {"distance_mode": "3d", "bn_eps": BN_EPS, "bn_momentum": BN_MOMENTUM}
+# clouds per forward pass when fingerprinting
+INFER_BATCH = 64
 # the container kind of model checkpoints and training state
 CHECKPOINT = "checkpoint"
 
@@ -65,13 +72,8 @@ class EncoderConfig:
     stage1: StageSpec
     stage2: StageSpec
     global_mlp: tuple[int, ...]
-    distance_mode: str = "3d"  # "3d" uses (t, f, a); "2d" ignores amplitude
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.distance_mode not in ("3d", "2d"):
-            raise ConfigError(f"unknown distance mode {self.distance_mode!r}")
         if not 0 < self.stage2.n_anchors < self.stage1.n_anchors:
             raise ConfigError("anchor counts must be positive and decrease stage to stage")
         for si, stage in enumerate((self.stage1, self.stage2), start=1):
@@ -100,24 +102,22 @@ class EncoderConfig:
             "stage1": _stage_dict(self.stage1),
             "stage2": _stage_dict(self.stage2),
             "global_mlp": list(self.global_mlp),
-            "distance_mode": self.distance_mode,
-            "bn_eps": self.bn_eps,
-            "bn_momentum": self.bn_momentum,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
         try:
-            return cls(
+            config = cls(
                 stage1=_stage_from(d["stage1"]),
                 stage2=_stage_from(d["stage2"]),
                 global_mlp=tuple(d["global_mlp"]),
-                distance_mode=d.get("distance_mode", "3d"),
-                bn_eps=float(d.get("bn_eps", 1e-5)),
-                bn_momentum=float(d.get("bn_momentum", 0.1)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad encoder config: {exc}") from exc
+        for key, value in _PINNED.items():
+            if d.get(key, value) != value:
+                raise ConfigError(f"encoder {key} {d[key]!r} is not supported, only {value!r}")
+        return config
 
 
 def _stage_dict(s: StageSpec) -> dict:
@@ -178,15 +178,13 @@ def sample_anchors(points: np.ndarray, n_anchors: int) -> np.ndarray:
     return np.lexsort((p[:, 1], p[:, 0], -p[:, 2]))[:n_anchors]
 
 
-def _squared_distances(anchors_xyz: np.ndarray, points: np.ndarray, mode: str) -> np.ndarray:
+def _squared_distances(anchors_xyz: np.ndarray, points: np.ndarray) -> np.ndarray:
     a = np.asarray(anchors_xyz, dtype=np.float64)
     p = np.asarray(points, dtype=np.float64)
-    if mode not in ("3d", "2d"):
-        raise ConfigError(f"unknown distance mode {mode!r}")
-    # per-axis (A, N) planes, summed in axis order: t, f, then a in "3d"
+    # per-axis (A, N) planes, summed in axis order: t, f, a
     diff = np.subtract.outer(a[:, 0], p[:, 0])
     d2 = diff * diff
-    for axis in range(1, 2 if mode == "2d" else 3):
+    for axis in (1, 2):
         diff = np.subtract.outer(a[:, axis], p[:, axis])
         d2 += diff * diff
     return d2
@@ -215,7 +213,6 @@ def query_ball_groups(
     anchor_indices: np.ndarray,
     points: np.ndarray,
     branches: list[tuple[float, int]],
-    mode: str = "3d",
 ) -> list[np.ndarray]:
     """``query_ball_group`` for several ``(radius, group_size)`` branches.
 
@@ -225,7 +222,7 @@ def query_ball_groups(
     """
     idx = np.asarray(anchor_indices, dtype=np.int64)
     pts = np.asarray(points)
-    d2 = _squared_distances(pts[idx], pts, mode)
+    d2 = _squared_distances(pts[idx], pts)
     if not np.isfinite(pts).all():
         # a NaN distance is never in radius, so where it ranks cannot change
         # a group; rank it last so the top-k tie rule sees only numbers
@@ -249,7 +246,6 @@ def query_ball_group(
     points: np.ndarray,
     radius: float,
     group_size: int,
-    mode: str = "3d",
 ) -> np.ndarray:
     """Up-to-``group_size`` nearest in-radius neighbors per anchor.
 
@@ -258,7 +254,7 @@ def query_ball_group(
     anchor with no qualifying point groups with itself (unreachable when the
     anchor is a member, since its own distance is zero).
     """
-    return query_ball_groups(anchor_indices, points, [(radius, group_size)], mode)[0]
+    return query_ball_groups(anchor_indices, points, [(radius, group_size)])[0]
 
 
 class PeakEncoder:
@@ -327,13 +323,12 @@ class PeakEncoder:
             h = ad.linear(h, self.params[f"{p}.w"], self.params[f"{p}.b"])
             gamma, beta = self.params[f"{p}.gamma"], self.params[f"{p}.beta"]
             if training:
-                h, mu, var = ad.batch_norm(h, gamma, beta, self.config.bn_eps)
-                mom = self.config.bn_momentum
-                self.running[f"{p}.rmean"] += (mom * (mu - self.running[f"{p}.rmean"])).astype(self.dtype)
-                self.running[f"{p}.rvar"] += (mom * (var - self.running[f"{p}.rvar"])).astype(self.dtype)
+                h, mu, var = ad.batch_norm(h, gamma, beta, BN_EPS)
+                self.running[f"{p}.rmean"] += (BN_MOMENTUM * (mu - self.running[f"{p}.rmean"])).astype(self.dtype)
+                self.running[f"{p}.rvar"] += (BN_MOMENTUM * (var - self.running[f"{p}.rvar"])).astype(self.dtype)
             else:
                 inv = ad.constant(
-                    (1.0 / np.sqrt(self.running[f"{p}.rvar"].astype(np.float64) + self.config.bn_eps)).astype(self.dtype)
+                    (1.0 / np.sqrt(self.running[f"{p}.rvar"].astype(np.float64) + BN_EPS)).astype(self.dtype)
                 )
                 scale = ad.mul(gamma, inv)
                 shift = ad.sub(beta, ad.mul(ad.constant(self.running[f"{p}.rmean"]), scale))
@@ -356,8 +351,7 @@ class PeakEncoder:
         new_xyz = xyz[rows, anchor_idx]
         branches = [(br.radius, br.group_size) for br in spec.branches]
         per_cloud = [
-            query_ball_groups(anchor_idx[b], xyz[b], branches, mode=self.config.distance_mode)
-            for b in range(b_sz)
+            query_ball_groups(anchor_idx[b], xyz[b], branches) for b in range(b_sz)
         ]
         outs = []
         for bi, br in enumerate(spec.branches):
@@ -395,15 +389,15 @@ class PeakEncoder:
         out = ad.linear(pooled, self.params[f"g.l{li}.w"], self.params[f"g.l{li}.b"])
         return ad.l2_normalize(out, axis=1)
 
-    def fingerprints(self, clouds: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    def fingerprints(self, clouds: np.ndarray) -> np.ndarray:
         """Unit-norm fingerprints for many clouds, float32 (inference mode)."""
         x = np.asarray(clouds)
         if x.ndim == 2:
             x = x[None]
         chunks = []
         with ad.no_grad():
-            for lo in range(0, x.shape[0], batch_size):
-                emb = self.encode(x[lo : lo + batch_size], training=False).data
+            for lo in range(0, x.shape[0], INFER_BATCH):
+                emb = self.encode(x[lo : lo + INFER_BATCH], training=False).data
                 chunks.append(emb.astype(np.float32))
         out = np.concatenate(chunks, axis=0)
         # a silent/degenerate segment can collapse to the zero vector before

@@ -97,15 +97,20 @@ def hr_at_1(predicted: list, truths: list) -> float:
 def cut_query(
     samples: np.ndarray, sample_rate: int, start_s: float, length_s: float, factor: float
 ) -> np.ndarray:
-    """Excerpt of source length ``length_s * factor``, played at ``factor`` x tempo."""
+    """Excerpt of source length ``length_s * factor``, played at ``factor`` x tempo.
+
+    The result has exactly ``round(length_s * sample_rate)`` samples: rounding
+    the source window and the stretch can leave the stretched excerpt a sample
+    long or short, so it is trimmed or zero-padded at the end.
+    """
     start = int(round(start_s * sample_rate))
     need = int(round(length_s * factor * sample_rate))
     if start < 0 or start + need > samples.size:
         raise DataError("query window exceeds the track")
-    piece = samples[start : start + need]
-    if factor == 1.0:
-        return piece.copy()
-    return stretch_audio(AudioClip(piece, sample_rate), factor).samples
+    size = int(round(length_s * sample_rate))
+    piece = AudioClip(samples[start : start + need], sample_rate)
+    out = stretch_audio(piece, factor).samples[:size]
+    return np.pad(out, (0, size - out.size))
 
 
 @dataclass

@@ -6,9 +6,10 @@ since rows are unit-norm). Two backends provide the ranking:
 
 * exact search over the full matrix;
 * an inverted-file index with product-quantized residuals (IVFPQ) that probes
-  only the most promising coarse cells and scores candidates from a lookup
-  table. It is built deterministically from the database and a seed, so it is
-  not serialized — rebuilding reproduces it bit for bit.
+  only the most promising coarse cells, ranks their rows by a lookup-table
+  estimate and re-scores the best ``RERANK`` of them with exact inner
+  products. It is built deterministically from the database and a seed, so
+  it is not serialized — rebuilding reproduces it bit for bit.
 
 Multi-segment queries are resolved by :func:`sequence_match`: candidate
 (track, offset) alignments come from per-segment top-k hits, and each
@@ -17,7 +18,7 @@ segment range (overhangs at either end of the track are clipped).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +27,19 @@ from . import container
 from .errors import ConfigError, ContractError, DataError, DecodeError
 
 DB_KIND = "fp.db"
+# Lloyd iterations of every k-means run
+KMEANS_ITERS = 25
+# IVFPQ candidates re-scored exactly per query (at least k)
+RERANK = 128
 
 
 class FingerprintDB:
     """Per-segment fingerprints for a track collection, in row-major blocks."""
 
-    def __init__(self, dim: int | None = None, meta: dict | None = None):
-        self.dim = dim
+    def __init__(self, meta: dict | None = None):
+        self.dim: int | None = None  # set by the first track
         self.meta = dict(meta or {})
-        self._track_ids: list[str] = []
-        self._blocks: list[np.ndarray] = []
+        self._blocks: dict[str, np.ndarray] = {}  # in insertion order
         self._cache: dict | None = None
 
     # -- construction -------------------------------------------------------
@@ -53,10 +57,9 @@ class FingerprintDB:
         norms = np.linalg.norm(v, axis=1)
         if not (np.abs(norms - 1.0) <= 1e-3).all():  # NaN rows fail too
             raise ContractError(f"track {track_id!r}: fingerprints must be unit-norm")
-        if track_id in self._track_ids:
+        if track_id in self._blocks:
             raise DataError(f"duplicate track id {track_id!r}")
-        self._track_ids.append(track_id)
-        self._blocks.append(v.copy())
+        self._blocks[track_id] = v.copy()
         self._cache = None
 
     # -- layout -------------------------------------------------------------
@@ -65,10 +68,11 @@ class FingerprintDB:
         if self._cache is None:
             if not self._blocks:
                 raise DataError("empty fingerprint database")
-            sizes = [b.shape[0] for b in self._blocks]
+            sizes = [b.shape[0] for b in self._blocks.values()]
             starts = np.concatenate([[0], np.cumsum(sizes)])
             self._cache = {
-                "matrix": np.concatenate(self._blocks, axis=0),
+                "ids": list(self._blocks),
+                "matrix": np.concatenate(list(self._blocks.values()), axis=0),
                 "starts": starts.astype(np.int64),
                 "row_track": np.repeat(
                     np.arange(len(sizes), dtype=np.int64), sizes
@@ -86,16 +90,16 @@ class FingerprintDB:
 
     @property
     def track_ids(self) -> list[str]:
-        return list(self._track_ids)
+        return list(self._blocks)
 
     def track_vectors(self, track_id: str) -> np.ndarray:
-        return self._blocks[self._track_ids.index(track_id)]
+        return self._blocks[track_id]
 
     def row_info(self, row: int) -> tuple[str, int]:
         """(track_id, segment index) of a matrix row."""
         lay = self._layout()
         ti = int(lay["row_track"][row])
-        return self._track_ids[ti], int(row - lay["starts"][ti])
+        return lay["ids"][ti], int(row - lay["starts"][ti])
 
     # -- exact retrieval ----------------------------------------------------
 
@@ -116,7 +120,7 @@ class FingerprintDB:
     # -- serialization ------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        tracks = [[tid, len(b)] for tid, b in zip(self._track_ids, self._blocks)]
+        tracks = [[tid, len(b)] for tid, b in self._blocks.items()]
         meta = {"info": self.meta, "tracks": tracks}
         container.write(path, DB_KIND, {"matrix": self._layout()["matrix"]}, meta)
 
@@ -137,10 +141,9 @@ class FingerprintDB:
 # k-means
 
 
-def kmeans(
-    points: np.ndarray, k: int, seed, iters: int = 25
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm with distance-weighted seeding, in float64.
+def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """``KMEANS_ITERS`` rounds of Lloyd's algorithm with distance-weighted
+    seeding, in float64.
 
     Returns (centroids (k_eff, d), labels (n,)). ``k_eff`` can fall below
     ``k`` when the data has fewer distinct points. Empty clusters are reseeded
@@ -168,8 +171,8 @@ def kmeans(
 
     x_sq = (x * x).sum(axis=1)
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(iters):
-        dist = x_sq[:, None] - 2.0 * (x @ c.T) + (c * c).sum(axis=1)[None, :]
+    for _ in range(KMEANS_ITERS):
+        dist = _center_distances(x, x_sq, c)
         labels = np.argmin(dist, axis=1)
         best = dist[np.arange(n), labels]
         counts = np.bincount(labels, minlength=c.shape[0])
@@ -179,12 +182,20 @@ def kmeans(
             labels[far] = empty
             best[far] = 0.0
             counts[empty] = 1
-        sums = np.zeros_like(c)
-        np.add.at(sums, labels, x)
+        # bincount sums each cluster's rows in row order from zero, as np.add.at does
+        sums = np.stack([np.bincount(labels, col, c.shape[0]) for col in x.T], axis=1)
         c = sums / np.bincount(labels, minlength=c.shape[0])[:, None]
-    dist = x_sq[:, None] - 2.0 * (x @ c.T) + (c * c).sum(axis=1)[None, :]
-    labels = np.argmin(dist, axis=1)
+    labels = np.argmin(_center_distances(x, x_sq, c), axis=1)
     return c, labels
+
+
+def _center_distances(x: np.ndarray, x_sq: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``x_sq[:, None] - 2 x c^T + |c|^2`` bit for bit, in one (n, k) buffer."""
+    dist = x @ c.T
+    dist *= -2.0
+    dist += x_sq[:, None]
+    dist += (c * c).sum(axis=1)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +260,13 @@ class IVFPQIndex:
         ``db.meta["ivfpq"]``; ``build``'s defaults and seed 0 without them."""
         return cls.build(db, **db.meta.get("ivfpq", {}))
 
-    def search(
-        self, queries: np.ndarray, k: int, rerank: int = 128
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Approximate top-k rows; same contract as FingerprintDB.search.
 
         Candidates from the probed cells are ranked by their quantized score,
-        then the best ``max(rerank, k)`` of them are re-scored with exact
-        inner products (``rerank=0`` returns raw quantized scores). Rows the
-        probe never reached are padded as row -1 / score -inf.
+        then the best ``max(RERANK, k)`` of them are re-scored with exact
+        inner products, so every returned score is exact. Rows the probe
+        never reached are padded as row -1 / score -inf.
         """
         q = np.asarray(queries, dtype=np.float64)
         if q.ndim != 2 or q.shape[1] != self.db.dim:
@@ -280,10 +289,8 @@ class IVFPQIndex:
             for j in range(m):
                 lut = self.codebooks[j] @ q[qi, j * sub : (j + 1) * sub]
                 est += lut[self.codes[rows, j]]
-            if rerank > 0:
-                keep = np.lexsort((rows, -est))[: max(rerank, k_out)]
-                rows = rows[keep]
-                est = self.db.matrix[rows] @ q32[qi]
+            rows = rows[np.lexsort((rows, -est))[: max(RERANK, k_out)]]
+            est = self.db.matrix[rows] @ q32[qi]
             order = np.lexsort((rows, -est))[:k_out]
             rows_out[qi, : order.size] = rows[order]
             scores_out[qi, : order.size] = est[order]

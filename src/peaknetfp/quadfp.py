@@ -101,19 +101,15 @@ def quad_hash(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.
     return np.array([cx, cy, dx, dy], dtype=np.float64)
 
 
-def enumerate_quads(
-    peaks: np.ndarray,
-    fps: float,
-    per_second: int,
-    max_per_root: int = MAX_QUADS_PER_ROOT,
-) -> dict[str, np.ndarray]:
+def enumerate_quads(peaks: np.ndarray, fps: float, per_second: int) -> dict[str, np.ndarray]:
     """Emit up to ``per_second`` quads per second of material.
 
     Roots are drained round-robin across one-second buckets, strongest roots
     first, so coverage stays even in time. For each root A, candidate far
     corners B (0.25-2 s later, at least MIN_DF_BINS away in frequency, so the
     box never degenerates) are tried strongest first; the two strongest peaks
-    strictly inside the A-B box become C, D.
+    strictly inside the A-B box become C, D. A root yields at most
+    MAX_QUADS_PER_ROOT quads.
     """
     if peaks.shape[0] == 0:
         return {
@@ -146,7 +142,7 @@ def enumerate_quads(
             ci, di = inside[0], inside[1]
             h = quad_hash(peaks[ai], peaks[bi], peaks[ci], peaks[di])
             out.append((h, t[ai] / fps, (t[bi] - t[ai]) / fps))
-            if len(out) >= max_per_root:
+            if len(out) >= MAX_QUADS_PER_ROOT:
                 break
         return out
 
@@ -213,10 +209,8 @@ class QuadDB:
         self.spec_cfg = spec_cfg or SpectrogramConfig()
         self.epsilon = float(epsilon)
         self.meta = dict(meta or {})
-        self._track_ids: list[str] = []
-        self._hashes: list[np.ndarray] = []
-        self._t0: list[np.ndarray] = []
-        self._dt: list[np.ndarray] = []
+        # track id -> {"hash", "t0", "dt"} arrays, in insertion order
+        self._quads: dict[str, dict[str, np.ndarray]] = {}
         self._grid: dict | None = None
 
     @property
@@ -225,14 +219,14 @@ class QuadDB:
 
     @property
     def track_ids(self) -> list[str]:
-        return list(self._track_ids)
+        return list(self._quads)
 
     @property
     def n_quads(self) -> int:
-        return sum(h.shape[0] for h in self._hashes)
+        return sum(q["hash"].shape[0] for q in self._quads.values())
 
     def add_track(self, track_id: str, samples: np.ndarray) -> None:
-        if track_id in self._track_ids:
+        if track_id in self._quads:
             raise DataError(f"duplicate track id {track_id!r}")
         spec = melspectrogram(np.asarray(samples, dtype=np.float32), self.spec_cfg)
         peaks = spectrogram_peaks(spec, self.fps)
@@ -240,32 +234,35 @@ class QuadDB:
         self.add_track_quads(track_id, quads)
 
     def add_track_quads(self, track_id: str, quads: dict[str, np.ndarray]) -> None:
-        if track_id in self._track_ids:
+        if track_id in self._quads:
             raise DataError(f"duplicate track id {track_id!r}")
-        self._track_ids.append(track_id)
-        self._hashes.append(np.asarray(quads["hash"], dtype=np.float64).reshape(-1, 4))
-        self._t0.append(np.asarray(quads["t0"], dtype=np.float64).reshape(-1))
-        self._dt.append(np.asarray(quads["dt"], dtype=np.float64).reshape(-1))
+        self._quads[track_id] = {
+            "hash": np.asarray(quads["hash"], dtype=np.float64).reshape(-1, 4),
+            "t0": np.asarray(quads["t0"], dtype=np.float64).reshape(-1),
+            "dt": np.asarray(quads["dt"], dtype=np.float64).reshape(-1),
+        }
         self._grid = None
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """Every track's quad arrays, concatenated in insertion order."""
+        quads = self._quads.values()
+        return {key: np.concatenate([q[key] for q in quads]) for key in ("hash", "t0", "dt")}
 
     # -- lookup ---------------------------------------------------------------
 
     def _layout(self) -> dict:
         if self._grid is None:
-            if not self._track_ids:
+            if not self._quads:
                 raise DataError("empty quad database")
-            sizes = [h.shape[0] for h in self._hashes]
-            hashes = (
-                np.concatenate(self._hashes) if self.n_quads else np.zeros((0, 4))
-            )
+            sizes = [q["hash"].shape[0] for q in self._quads.values()]
+            arrays = self._arrays()
             cells: dict[tuple, list[int]] = defaultdict(list)
-            keys = np.floor(hashes / self.epsilon).astype(np.int64)
+            keys = np.floor(arrays["hash"] / self.epsilon).astype(np.int64)
             for i, key in enumerate(map(tuple, keys)):
                 cells[key].append(i)
             self._grid = {
-                "hashes": hashes,
-                "t0": np.concatenate(self._t0) if self.n_quads else np.zeros(0),
-                "dt": np.concatenate(self._dt) if self.n_quads else np.zeros(0),
+                **arrays,
+                "ids": list(self._quads),
                 "track": np.repeat(
                     np.arange(len(sizes), dtype=np.int64), sizes
                 ),
@@ -289,7 +286,7 @@ class QuadDB:
             return np.zeros(0, dtype=np.int64)
         ids = np.array(sorted(found), dtype=np.int64)
         keep = (
-            np.abs(lay["hashes"][ids] - query_hash[None, :]).max(axis=1)
+            np.abs(lay["hash"][ids] - query_hash[None, :]).max(axis=1)
             <= self.epsilon
         )
         return ids[keep]
@@ -334,7 +331,7 @@ class QuadDB:
                 best[ti] = (key, count, center, o_bin * OFFSET_BIN_SECONDS)
         ranked = sorted(
             (
-                QuadMatch(self._track_ids[ti], count, float(center), float(off))
+                QuadMatch(lay["ids"][ti], count, float(center), float(off))
                 for ti, (_, count, center, off) in best.items()
             ),
             key=lambda m: (-m.votes, m.track_id),
@@ -344,17 +341,12 @@ class QuadDB:
     # -- serialization ----------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        if not self._track_ids:
+        if not self._quads:
             raise DataError("empty quad database")
-        tracks = [[tid, len(h)] for tid, h in zip(self._track_ids, self._hashes)]
+        tracks = [[tid, len(q["hash"])] for tid, q in self._quads.items()]
         meta = {"info": self.meta, "epsilon": self.epsilon, "tracks": tracks}
         meta["spectrogram"] = self.spec_cfg.to_dict()
-        arrays = {
-            "hash": np.concatenate(self._hashes),
-            "t0": np.concatenate(self._t0),
-            "dt": np.concatenate(self._dt),
-        }
-        container.write(path, QUAD_KIND, arrays, meta)
+        container.write(path, QUAD_KIND, self._arrays(), meta)
 
     @classmethod
     def load(cls, path: str | Path) -> "QuadDB":

@@ -1,9 +1,11 @@
-"""Audio loading, mono 8 kHz normalization, segmentation, and time stretching.
+"""Audio loading, mono resampling (8 kHz by default), segmentation, and time
+stretching.
 
 The stretcher is a WSOLA (waveform similarity overlap-add) implementation:
 it changes tempo while preserving pitch, which is exactly the distortion the
-retrieval systems here are meant to survive. ``factor`` multiplies tempo, so
-the output has ``round(n / factor)`` samples.
+retrieval systems here are meant to survive. It takes and returns an
+:class:`AudioClip`, whose rate sizes its window. ``factor`` multiplies tempo,
+so the output has ``round(n / factor)`` samples.
 """
 from __future__ import annotations
 
@@ -88,12 +90,10 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
 
 
 def segment_clip(
-    clip: AudioClip | np.ndarray,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
-    window_s: float = SEGMENT_SECONDS,
-    hop_s: float = SEGMENT_HOP_SECONDS,
+    clip: AudioClip | np.ndarray, sample_rate: int = DEFAULT_SAMPLE_RATE
 ) -> np.ndarray:
-    """Cut a clip into full, half-overlapping windows.
+    """Cut a clip into full ``SEGMENT_SECONDS`` windows every
+    ``SEGMENT_HOP_SECONDS``, so consecutive windows half overlap.
 
     Returns an array of shape (n_segments, window_samples). Only windows that
     fit entirely inside the clip are produced; a clip shorter than one window
@@ -104,8 +104,8 @@ def segment_clip(
         sample_rate = clip.sample_rate
     else:
         x = np.asarray(clip)
-    win = int(round(window_s * sample_rate))
-    hop = int(round(hop_s * sample_rate))
+    win = int(round(SEGMENT_SECONDS * sample_rate))
+    hop = int(round(SEGMENT_HOP_SECONDS * sample_rate))
     if x.size < win:
         raise DataError(
             f"clip too short to segment: {x.size} samples < window {win}"
@@ -119,25 +119,21 @@ def _hann_periodic(n: int) -> np.ndarray:
     return np.hanning(n + 1)[:-1].astype(np.float64)
 
 
-def stretch_audio(clip: AudioClip | np.ndarray, factor: float) -> AudioClip | np.ndarray:
+def stretch_audio(clip: AudioClip, factor: float) -> AudioClip:
     """Time-stretch by ``factor`` (tempo multiplier) with pitch preserved.
 
     factor > 1 speeds the clip up (shorter output), factor < 1 slows it down.
     ``factor == 1`` returns an identical copy. Output length is exactly
-    ``round(n / factor)`` samples. The WSOLA window is sized in seconds at the
-    clip's rate; a bare array is taken to be at ``DEFAULT_SAMPLE_RATE``.
+    ``round(n / factor)`` samples, at the clip's rate; the WSOLA window is
+    sized in seconds at that rate.
     """
-    if isinstance(clip, AudioClip):
-        return AudioClip(_wsola(clip.samples, factor, clip.sample_rate), clip.sample_rate)
-    return _wsola(clip, factor, DEFAULT_SAMPLE_RATE)
+    return AudioClip(_wsola(clip.samples, factor, clip.sample_rate), clip.sample_rate)
 
 
 def _wsola(samples: np.ndarray, factor: float, sr: int) -> np.ndarray:
     if not np.isfinite(factor) or factor <= 0:
         raise ConfigError(f"stretch factor must be positive, got {factor!r}")
     x = np.asarray(samples, dtype=np.float32)
-    if x.ndim != 1:
-        raise ShapeError(f"stretch_audio needs a 1-D clip, got {x.shape}")
     if factor == 1.0:
         return x.copy()
     out_len = int(round(x.size / factor))

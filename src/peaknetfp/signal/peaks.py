@@ -90,11 +90,9 @@ def extract_peaks(
 
 
 def clip_clouds(
-    clip: AudioClip | np.ndarray,
-    cfg: SpectrogramConfig | None = None,
-    n_peaks: int = CLOUD_SIZE,
+    clip: AudioClip | np.ndarray, cfg: SpectrogramConfig | None = None
 ) -> np.ndarray:
-    """All segment peak clouds of a clip, shape (n_segments, n_peaks, 3).
+    """All segment peak clouds of a clip, shape (n_segments, CLOUD_SIZE, 3).
 
     A bare array is taken to be at ``cfg.sample_rate``; a clip at any other
     rate is refused.
@@ -106,7 +104,7 @@ def clip_clouds(
             f"{cfg.sample_rate} Hz"
         )
     windows = segment_clip(clip, sample_rate=cfg.sample_rate)
-    return np.stack([extract_peaks(melspectrogram(w, cfg), n_peaks) for w in windows])
+    return np.stack([extract_peaks(melspectrogram(w, cfg)) for w in windows])
 
 
 @dataclass(frozen=True)

@@ -101,12 +101,10 @@ class SegmentDataset:
         self,
         tracks: list[tuple[str, np.ndarray | AudioClip]],
         spec_cfg: SpectrogramConfig | None = None,
-        n_peaks: int = CLOUD_SIZE,
     ):
         if not tracks:
             raise DataError("empty track collection")
         self.spec_cfg = spec_cfg or SpectrogramConfig()
-        self.n_peaks = n_peaks
         self._samples: list[np.ndarray] = []
         self.track_ids: list[str] = []
         rows: list[tuple[int, int]] = []  # (track_idx, start)
@@ -120,7 +118,7 @@ class SegmentDataset:
             x = audio.samples.astype(np.float32, copy=False)
             if x.size < win:
                 raise DataError(f"track {track_id!r} is shorter than one segment")
-            clouds.append(clip_clouds(AudioClip(x, audio.sample_rate), self.spec_cfg, n_peaks))
+            clouds.append(clip_clouds(AudioClip(x, audio.sample_rate), self.spec_cfg))
             self.track_ids.append(track_id)
             self._samples.append(x)
             rows.extend((ti, si * hop) for si in range(len(clouds[-1])))
@@ -157,7 +155,7 @@ class SegmentDataset:
             )
         spec = melspectrogram(self._samples[ti][start : start + need], self.spec_cfg)
         spec = fit_frames(stretch_spectrogram(spec, factor), self._frames)
-        return extract_peaks(spec, self.n_peaks)
+        return extract_peaks(spec)
 
 
 def positive_pair_mask(n: int) -> np.ndarray:
@@ -169,9 +167,9 @@ def positive_pair_mask(n: int) -> np.ndarray:
     return mask
 
 
-def diagonal_mask(n: int, value: float = -1e30) -> np.ndarray:
+def diagonal_mask(n: int) -> np.ndarray:
     """Additive mask that removes self-similarity from the softmax."""
-    return np.diag(np.full(n, value, dtype=np.float32))
+    return np.diag(np.full(n, -1e30, dtype=np.float32))
 
 
 def ntxent_loss(embeddings: ad.Tensor, temperature: float = 0.05) -> ad.Tensor:
@@ -210,7 +208,7 @@ def build_batch(
                 math.log(cfg.stretch_min), math.log(cfg.stretch_max), cfg.pairs_per_batch
             )
         )
-    clouds = np.empty((2 * cfg.pairs_per_batch, dataset.n_peaks, 3), dtype=np.float32)
+    clouds = np.empty((2 * cfg.pairs_per_batch, CLOUD_SIZE, 3), dtype=np.float32)
     for i, (seg, s) in enumerate(zip(picked, factors)):
         clouds[2 * i] = dataset.originals[seg]
         clouds[2 * i + 1] = dataset.replica_cloud(int(seg), float(s))

@@ -148,3 +148,13 @@ def desk(tmp_path_factory):
         build_seconds=build_seconds,
         train_records=result.records,
     )
+
+
+def pytest_collection_modifyitems(items):
+    """Run the tests that need ``desk`` after every other test.
+
+    Building the desk trains the full-size encoder, most of the suite's wall
+    time; running it last reports every other result first, and a run cut
+    short by a time limit loses only the desk tests.
+    """
+    items.sort(key=lambda item: "desk" in getattr(item, "fixturenames", ()))

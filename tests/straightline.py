@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 
+BN_EPS = 1e-5
 
-def _mlp_point(vec, prefix, widths, arrays, running, eps):
+
+def _mlp_point(vec, prefix, widths, arrays, running):
     h = [float(v) for v in vec]
     for li, width in enumerate(widths):
         w = arrays[f"{prefix}.l{li}.w"]
@@ -23,7 +25,7 @@ def _mlp_point(vec, prefix, widths, arrays, running, eps):
         for j in range(width):
             s = sum(h[k] * float(w[k, j]) for k in range(len(h))) + float(b[j])
             s = float(gamma[j]) * (s - float(rmean[j])) / math.sqrt(
-                float(rvar[j]) + eps
+                float(rvar[j]) + BN_EPS
             ) + float(beta[j])
             out.append(s if s > 0.0 else 0.0)
         h = out
@@ -38,7 +40,6 @@ def straight_line_fingerprint(arrays, running, config, cloud) -> np.ndarray:
     pts = [(float(p[0]), float(p[1]), float(p[2])) for p in np.asarray(cloud)]
     pts = [pts[i] for i in _canonical(pts)]
     feats: list[list[float]] | None = None
-    dims = 2 if config.distance_mode == "2d" else 3
 
     for si, stage in enumerate((config.stage1, config.stage2), start=1):
         anchors = _canonical(pts)[: stage.n_anchors]
@@ -50,7 +51,7 @@ def straight_line_fingerprint(arrays, running, config, cloud) -> np.ndarray:
                 cand = []
                 for p in range(len(pts)):
                     d2 = 0.0
-                    for d in range(dims):
+                    for d in range(3):
                         diff = pts[a][d] - pts[p][d]
                         d2 += diff * diff
                     if d2 <= br.radius * br.radius:
@@ -66,9 +67,7 @@ def straight_line_fingerprint(arrays, running, config, cloud) -> np.ndarray:
                     vec = [pts[p][d] - pts[a][d] for d in range(3)]
                     if feats is not None:
                         vec = vec + feats[p]
-                    lifted = _mlp_point(
-                        vec, f"s{si}.b{bi}", br.mlp, arrays, running, config.bn_eps
-                    )
+                    lifted = _mlp_point(vec, f"s{si}.b{bi}", br.mlp, arrays, running)
                     pooled = (
                         lifted
                         if pooled is None
@@ -82,9 +81,7 @@ def straight_line_fingerprint(arrays, running, config, cloud) -> np.ndarray:
     pooled = None
     for p in range(len(pts)):
         vec = list(pts[p]) + feats[p]
-        lifted = _mlp_point(
-            vec, "g", config.global_mlp[:-1], arrays, running, config.bn_eps
-        )
+        lifted = _mlp_point(vec, "g", config.global_mlp[:-1], arrays, running)
         pooled = lifted if pooled is None else [max(x, y) for x, y in zip(pooled, lifted)]
     li = len(config.global_mlp) - 1
     w = arrays[f"g.l{li}.w"]

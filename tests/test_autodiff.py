@@ -290,7 +290,7 @@ class TestAdam:
         p = ad.Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([0.5])
         state = ad.AdamState()
-        ad.adam_step({"p": p}, state, lr, b1, b2, eps)
+        ad.adam_step({"p": p}, state, lr)
         # plain-python replay
         m = (1 - b1) * 0.5
         v = (1 - b2) * 0.25
@@ -311,7 +311,7 @@ class TestAdam:
             want -= lr * (m / (1 - b1**t)) / ((v / (1 - b2**t)) ** 0.5 + eps)
         for g in grads:
             p.grad = np.array([g])
-            ad.adam_step({"p": p}, state, lr, b1, b2, eps)
+            ad.adam_step({"p": p}, state, lr)
         np.testing.assert_allclose(p.data, [want], rtol=1e-12)
 
     def test_missing_grad_rejected(self):

@@ -7,12 +7,14 @@ import shutil
 import numpy as np
 import pytest
 
+from peaknetfp import cli
 from peaknetfp import reference as ref
 from peaknetfp.cli import _cut, main
-from peaknetfp.encoder import DEFAULT_CONFIG, checkpoint_id
+from peaknetfp.encoder import DEFAULT_CONFIG, EncoderConfig, checkpoint_id
 from peaknetfp.index import FingerprintDB
 from peaknetfp.signal.audio import AudioClip
 from peaknetfp.signal.peaks import read_peaks
+from peaknetfp.training import TrainConfig, TrainResult
 
 
 class TestExitCodes:
@@ -122,6 +124,44 @@ class TestCut:
         assert abs(ref.dominant_frequency_hz(out, 16000) - 50.0) <= 16000 / out.size
 
 
+class TestTrainConfigFile:
+    ENCODER = {
+        "stage1": {"n_anchors": 8, "branches": [{"group_size": 2, "radius": 0.3, "mlp": [4]}]},
+        "stage2": {"n_anchors": 4, "branches": [{"group_size": 2, "radius": 0.4, "mlp": [4]}]},
+        "global_mlp": [4, 6],
+    }
+
+    @pytest.mark.parametrize(
+        "raw, train_cfg, encoder_cfg",
+        [
+            ({"encoder": ENCODER}, {}, ENCODER),
+            ({"train": {"epochs": 1}}, {"epochs": 1}, None),
+            ({"train": {"epochs": 1}, "encoder": ENCODER}, {"epochs": 1}, ENCODER),
+            ({"epochs": 1}, {"epochs": 1}, None),
+        ],
+    )
+    def test_sections_or_a_bare_train_config(
+        self, raw, train_cfg, encoder_cfg, eval_rig, tmp_path, monkeypatch
+    ):
+        seen = {}
+
+        def fake_train(dataset, cfg, model=None, **kwargs):
+            seen.update(cfg=cfg, model=model)
+            return TrainResult(model=model)
+
+        monkeypatch.setattr(cli, "SegmentDataset", lambda tracks: None)
+        monkeypatch.setattr(cli, "train", fake_train)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        argv = ["train", "--audio", str(eval_rig.wav_dir), "-c", str(path), "-o", "m.ckpt"]
+        assert main(argv) == 0
+        assert seen["cfg"] == TrainConfig(**train_cfg)
+        if encoder_cfg is None:
+            assert seen["model"] is None
+        else:
+            assert seen["model"].config == EncoderConfig.from_dict(encoder_cfg)
+
+
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
@@ -210,6 +250,25 @@ class TestPipeline:
         first = capsys.readouterr().out.splitlines()[0]
         assert first.startswith("1\ttrack002")
         assert "offset=2.0s" in first
+
+    def test_one_second_query_at_any_factor(self, eval_rig, capsys):
+        # the rounded source window and stretch leave this excerpt a sample
+        # short of one segment unless the cutter pads it
+        argv = [
+            "query",
+            "--db",
+            str(eval_rig.db_path),
+            "--model",
+            str(eval_rig.model_path),
+            "--audio",
+            str(eval_rig.wav_dir / "track001.wav"),
+            "--len",
+            "1",
+            "--factor",
+            "0.66292",
+        ]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("1\t")
 
     def test_ivfpq_index_roundtrip(self, eval_rig, tmp_path, capsys):
         db_path = tmp_path / "fp.db"

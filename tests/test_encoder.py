@@ -9,9 +9,11 @@ import pytest
 from straightline import straight_line_fingerprint
 
 from peaknetfp import autodiff as ad
+from peaknetfp import container
 from peaknetfp import reference as ref
 from peaknetfp.corpus import make_track
 from peaknetfp.encoder import (
+    CHECKPOINT,
     DEFAULT_CONFIG,
     BranchSpec,
     EncoderConfig,
@@ -23,7 +25,7 @@ from peaknetfp.encoder import (
     query_ball_groups,
     sample_anchors,
 )
-from peaknetfp.errors import ConfigError, DataError, ShapeError
+from peaknetfp.errors import ConfigError, DataError, DecodeError, ShapeError
 from peaknetfp.signal import clip_clouds
 
 TABLE_SETTINGS = [(4, 0.1), (8, 0.2), (16, 0.3), (4, 0.2), (8, 0.3), (16, 0.4)]
@@ -92,15 +94,6 @@ class TestConfig:
                 stage1=StageSpec(anchors[0], (BranchSpec(2, 0.2, mlp),)),
                 stage2=StageSpec(anchors[1], (BranchSpec(2, 0.2, (4,)),)),
                 global_mlp=global_mlp,
-            )
-
-    def test_unknown_distance_mode(self):
-        with pytest.raises(ConfigError):
-            EncoderConfig(
-                stage1=StageSpec(8, (BranchSpec(2, 0.2, (4,)),)),
-                stage2=StageSpec(4, (BranchSpec(2, 0.2, (4,)),)),
-                global_mlp=(4,),
-                distance_mode="4d",
             )
 
     def test_dict_roundtrip(self):
@@ -186,14 +179,6 @@ class TestQueryBall:
         anchors = np.arange(0, 40, 2)
         got = query_ball_group(anchors, pts, 0.4, 8)
         want = ref.naive_query_ball(anchors, pts, 0.4, 8)
-        np.testing.assert_array_equal(got, want)
-
-    def test_2d_mode_matches_oracle_on_tf_plane(self):
-        rng = np.random.default_rng(9)
-        pts = random_cloud(rng, 48)
-        anchors = sample_anchors(pts, 16)
-        got = query_ball_group(anchors, pts, 0.25, 6, mode="2d")
-        want = ref.naive_query_ball(anchors, pts[:, :2], 0.25, 6)
         np.testing.assert_array_equal(got, want)
 
 
@@ -327,6 +312,21 @@ class TestCheckpointPersistence:
         other = PeakEncoder(config=tiny_config(), seed=8)
         other.save(p2)
         assert checkpoint_id(p1) != checkpoint_id(p2)
+
+    def test_pinned_config_keys_load_only_at_their_value(self, tmp_path):
+        # checkpoints from before these options were pinned store them
+        model = PeakEncoder(config=tiny_config(), seed=10)
+        arrays, meta = model.state()
+        stored = {**meta["config"], "distance_mode": "3d", "bn_eps": 1e-5, "bn_momentum": 0.1}
+        path = tmp_path / "old.ckpt"
+        container.write(path, CHECKPOINT, arrays, {"config": stored})
+        cloud = np.random.default_rng(10).random((16, 3)).astype(np.float32)
+        old = PeakEncoder.from_checkpoint(path)
+        np.testing.assert_array_equal(old.fingerprint(cloud), model.fingerprint(cloud))
+        for key, value in (("distance_mode", "2d"), ("bn_eps", 1e-3), ("bn_momentum", 0.01)):
+            container.write(path, CHECKPOINT, arrays, {"config": {**stored, key: value}})
+            with pytest.raises(DecodeError, match=key):
+                PeakEncoder.from_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = PeakEncoder(config=tiny_config(), seed=9)

@@ -18,6 +18,7 @@ from peaknetfp.evaluate import (
     hr_at_1,
     run_sweep,
 )
+from peaknetfp.signal.peaks import CLOUD_SIZE, clip_clouds
 
 
 class TestEvalConfig:
@@ -90,10 +91,19 @@ class TestCutQuery:
 
     @pytest.mark.parametrize("factor,length", [(1.25, 4.0), (0.5, 2.0), (2.0, 3.0)])
     def test_source_window_scales_with_factor(self, factor, length):
-        samples = np.zeros(80000, dtype=np.float32)
+        # a ramp shows which source samples the excerpt covers
+        samples = np.arange(80000, dtype=np.float32) / 80000
         out = cut_query(samples, 8000, 0.0, length, factor)
-        need = int(round(length * factor * 8000))
-        assert out.size == int(round(need / factor))
+        assert out.size == round(length * 8000)
+        assert out[-1] == pytest.approx(length * factor / 10, abs=0.01)
+
+    def test_one_second_excerpt_is_one_segment_at_any_factor(self):
+        # the source window and the stretch both round: at this factor they
+        # leave the stretched excerpt one sample short of a segment
+        samples = np.random.default_rng(5).normal(0, 0.2, 16000).astype(np.float32)
+        out = cut_query(samples, 8000, 0.0, 1.0, 0.66292)
+        assert out.size == 8000
+        assert clip_clouds(out).shape == (1, CLOUD_SIZE, 3)
 
     def test_stretch_uses_the_given_rate(self):
         t = np.arange(5 * 16000) / 16000

@@ -16,7 +16,7 @@ from peaknetfp.quadfp import (
     quad_hash,
     spectrogram_peaks,
 )
-from peaknetfp.signal.audio import stretch_audio
+from peaknetfp.signal.audio import AudioClip, stretch_audio
 from peaknetfp.signal.spectral import SpectrogramConfig, melspectrogram, stretch_spectrogram
 
 
@@ -285,7 +285,7 @@ class TestEndToEndAudio:
 
     def test_wsola_stretched_excerpt_matches_source(self, corpus_db):
         x = synth_track(6.0, seed=30)  # == track0
-        excerpt = stretch_audio(x[:4 * 8000], 1.25)
+        excerpt = stretch_audio(AudioClip(x[:4 * 8000]), 1.25).samples
         ranked = corpus_db.match(excerpt)
         assert ranked[0].track_id == "track0"
 
@@ -305,7 +305,7 @@ class TestSerialization:
         assert back.epsilon == db.epsilon
         assert back.meta["note"] == "x"
         assert back.n_quads == db.n_quads
-        np.testing.assert_array_equal(back._layout()["hashes"], db._layout()["hashes"])
+        np.testing.assert_array_equal(back._layout()["hash"], db._layout()["hash"])
         np.testing.assert_array_equal(back._layout()["dt"], db._layout()["dt"])
 
     def test_corrupt_files_rejected(self, tmp_path):
