@@ -36,6 +36,10 @@ import numpy as np
 from .errors import ContractError, ShapeError
 
 DEFAULT_DTYPE = np.float32
+# BatchNorm's variance epsilon
+BN_EPS = 1e-5
+# the least norm l2_normalize divides by
+NORM_FLOOR = 1e-12
 
 _grad_enabled = True
 
@@ -323,9 +327,9 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
+def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     norm = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
-    norm = np.maximum(norm, eps)
+    norm = np.maximum(norm, NORM_FLOOR)
     out_data = a.data / norm
 
     def back():
@@ -411,7 +415,7 @@ def scale_bias(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
 
 
 def batch_norm(
-    x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5
+    x: Tensor, gamma: Tensor, beta: Tensor
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Normalize rows of a 2-D tensor by batch statistics (training mode).
 
@@ -427,7 +431,7 @@ def batch_norm(
     mu = x.data.mean(axis=0)
     xhat = x.data - mu
     var = (xhat * xhat).mean(axis=0)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv
     out_data = gamma.data * xhat
     out_data += beta.data

@@ -21,7 +21,7 @@ from .errors import ConfigError, ContractError, DataError, DecodeError
 from .evaluate import EvalConfig, cut_query, run_sweep
 from .index import FingerprintDB, IVFPQIndex, sequence_match
 from .quadfp import HASH_EPSILON, QuadDB, box_matches
-from .signal.audio import AudioClip, load_audio, stretch_audio
+from .signal.audio import SEGMENT_HOP_SECONDS, AudioClip, load_audio, stretch_audio
 from .signal.peaks import PeakEntry, clip_clouds, extract_peaks, write_peaks
 from .training import SegmentDataset, TrainConfig, ntxent_loss, train
 
@@ -155,7 +155,7 @@ def cmd_query(args) -> int:
         print("no match")
         return 0
     for rank, m in enumerate(matches[: args.top], start=1):
-        print(f"{rank}\t{m.track_id}\toffset={m.offset * 0.5:.1f}s\tscore={m.score:.3f}")
+        print(f"{rank}\t{m.track_id}\toffset={m.offset * SEGMENT_HOP_SECONDS:.1f}s\tscore={m.score:.3f}")
     return 0
 
 

@@ -16,6 +16,9 @@ Determinism guarantees, relied on by tests and by retrieval:
   compared in float64 against the squared radius;
 - max-pool ties route to the lowest index.
 
+``EncoderConfig``, ``StageSpec`` and ``BranchSpec`` take their JSON form, which
+checkpoints store as ``config``, from :class:`~peaknetfp.config.JsonConfig`.
+
 Grouping work is done once per stage and cloud, not once per branch: the
 distance matrix and the nearest-first order of the ``k = max(group_size)``
 closest points are shared by all branches, and each branch cuts its groups
@@ -36,16 +39,16 @@ import numpy as np
 
 from . import autodiff as ad
 from . import container
+from .config import JsonConfig
 from .errors import ConfigError, DecodeError, ShapeError
 
 log = logging.getLogger(__name__)
 
 EMBED_DIM = 128
-# BatchNorm's variance epsilon and running-statistics momentum
-BN_EPS = 1e-5
+# BatchNorm's running-statistics momentum
 BN_MOMENTUM = 0.1
 # config keys that older checkpoints store, with the only value the encoder has
-_PINNED = {"distance_mode": "3d", "bn_eps": BN_EPS, "bn_momentum": BN_MOMENTUM}
+_PINNED = {"distance_mode": "3d", "bn_eps": ad.BN_EPS, "bn_momentum": BN_MOMENTUM}
 # clouds per forward pass when fingerprinting
 INFER_BATCH = 64
 # the container kind of model checkpoints and training state
@@ -53,7 +56,7 @@ CHECKPOINT = "checkpoint"
 
 
 @dataclass(frozen=True)
-class BranchSpec:
+class BranchSpec(JsonConfig):
     """One grouping scale: neighborhood size, radius, MLP widths."""
 
     group_size: int
@@ -62,13 +65,13 @@ class BranchSpec:
 
 
 @dataclass(frozen=True)
-class StageSpec:
+class StageSpec(JsonConfig):
     n_anchors: int
     branches: tuple[BranchSpec, ...]
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
+class EncoderConfig(JsonConfig):
     stage1: StageSpec
     stage2: StageSpec
     global_mlp: tuple[int, ...]
@@ -97,47 +100,16 @@ class EncoderConfig:
     def embed_dim(self) -> int:
         return self.global_mlp[-1]
 
-    def to_dict(self) -> dict:
-        return {
-            "stage1": _stage_dict(self.stage1),
-            "stage2": _stage_dict(self.stage2),
-            "global_mlp": list(self.global_mlp),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        try:
-            config = cls(
-                stage1=_stage_from(d["stage1"]),
-                stage2=_stage_from(d["stage2"]),
-                global_mlp=tuple(d["global_mlp"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad encoder config: {exc}") from exc
-        for key, value in _PINNED.items():
-            if d.get(key, value) != value:
-                raise ConfigError(f"encoder {key} {d[key]!r} is not supported, only {value!r}")
-        return config
-
-
-def _stage_dict(s: StageSpec) -> dict:
-    return {
-        "n_anchors": s.n_anchors,
-        "branches": [
-            {"group_size": b.group_size, "radius": b.radius, "mlp": list(b.mlp)}
-            for b in s.branches
-        ],
-    }
-
-
-def _stage_from(d: dict) -> StageSpec:
-    return StageSpec(
-        n_anchors=int(d["n_anchors"]),
-        branches=tuple(
-            BranchSpec(int(b["group_size"]), float(b["radius"]), tuple(b["mlp"]))
-            for b in d["branches"]
-        ),
-    )
+        """The :class:`JsonConfig` reader, after checking and dropping the
+        pinned keys that older checkpoints store."""
+        if isinstance(d, dict):
+            for key, value in _PINNED.items():
+                if d.get(key, value) != value:
+                    raise ConfigError(f"encoder {key} {d[key]!r} is not supported, only {value!r}")
+            d = {k: v for k, v in d.items() if k not in _PINNED}
+        return super().from_dict(d)
 
 
 DEFAULT_CONFIG = EncoderConfig(
@@ -323,12 +295,12 @@ class PeakEncoder:
             h = ad.linear(h, self.params[f"{p}.w"], self.params[f"{p}.b"])
             gamma, beta = self.params[f"{p}.gamma"], self.params[f"{p}.beta"]
             if training:
-                h, mu, var = ad.batch_norm(h, gamma, beta, BN_EPS)
+                h, mu, var = ad.batch_norm(h, gamma, beta)
                 self.running[f"{p}.rmean"] += (BN_MOMENTUM * (mu - self.running[f"{p}.rmean"])).astype(self.dtype)
                 self.running[f"{p}.rvar"] += (BN_MOMENTUM * (var - self.running[f"{p}.rvar"])).astype(self.dtype)
             else:
                 inv = ad.constant(
-                    (1.0 / np.sqrt(self.running[f"{p}.rvar"].astype(np.float64) + BN_EPS)).astype(self.dtype)
+                    (1.0 / np.sqrt(self.running[f"{p}.rvar"].astype(np.float64) + ad.BN_EPS)).astype(self.dtype)
                 )
                 scale = ad.mul(gamma, inv)
                 shift = ad.sub(beta, ad.mul(ad.constant(self.running[f"{p}.rmean"]), scale))

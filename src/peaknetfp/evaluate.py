@@ -1,10 +1,11 @@
 """Hit-rate sweeps over stretch factors and query lengths.
 
 For every (factor, length) cell, query excerpts are cut from the reference
-tracks at random half-second-aligned offsets, tempo-modified in the time
-domain, then pushed through the system under test (segment fingerprints +
-sequence alignment, or the quad baseline). The score is the fraction of
-queries whose top-ranked track is the source track (hit rate at rank 1).
+tracks at random offsets on the segment hop grid (every half second),
+tempo-modified in the time domain, then pushed through the system under test
+(segment fingerprints + sequence alignment, or the quad baseline). The score
+is the fraction of queries whose top-ranked track is the source track (hit
+rate at rank 1).
 
 Excerpts are cut with source length ``length * factor`` seconds BEFORE
 stretching, so the stretched query plays for ``length`` seconds — matching
@@ -22,11 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import JsonConfig
 from .encoder import PeakEncoder
 from .errors import ConfigError, DataError
 from .index import FingerprintDB, IVFPQIndex, sequence_match
 from .quadfp import QuadDB
-from .signal.audio import AudioClip, stretch_audio
+from .signal.audio import DEFAULT_SAMPLE_RATE, SEGMENT_HOP_SECONDS, AudioClip, stretch_audio
 from .signal.peaks import clip_clouds
 
 DEFAULT_FACTORS = (
@@ -37,9 +39,9 @@ DEFAULT_LENGTHS = (2.0, 3.0, 5.0, 6.0, 10.0)
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    factors: tuple = DEFAULT_FACTORS
-    lengths: tuple = DEFAULT_LENGTHS
+class EvalConfig(JsonConfig):
+    factors: tuple[float, ...] = DEFAULT_FACTORS
+    lengths: tuple[float, ...] = DEFAULT_LENGTHS
     n_queries: int = 20
     seed: int = 0
     system: str = "peaknetfp"
@@ -61,24 +63,6 @@ class EvalConfig:
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "factors": list(self.factors),
-            "lengths": list(self.lengths),
-            "n_queries": self.n_queries,
-            "seed": self.seed,
-            "system": self.system,
-            "backend": self.backend,
-            "k": self.k,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalConfig":
-        try:
-            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
-        except TypeError as exc:
-            raise ConfigError(f"bad eval config: {exc}") from exc
 
     def config_hash(self) -> str:
         raw = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
@@ -161,9 +145,13 @@ def run_sweep(
     model: PeakEncoder | None = None,
     db: FingerprintDB | None = None,
     quad_db: QuadDB | None = None,
-    sample_rate: int = 8000,
 ) -> EvalReport:
-    """HR@1 for every configured (factor, length) cell."""
+    """HR@1 for every configured (factor, length) cell.
+
+    Track samples are taken to be at ``DEFAULT_SAMPLE_RATE``, the rate
+    ``clip_clouds`` reads a bare array at; a quad database built at another
+    rate is refused.
+    """
     if cfg.system == "peaknetfp":
         if model is None or db is None:
             raise ConfigError("peaknetfp evaluation needs a model and a database")
@@ -171,6 +159,11 @@ def run_sweep(
     else:
         if quad_db is None:
             raise ConfigError("quadfp evaluation needs a quad database")
+        if quad_db.spec_cfg.sample_rate != DEFAULT_SAMPLE_RATE:
+            raise DataError(
+                f"the quad database is at {quad_db.spec_cfg.sample_rate} Hz, "
+                f"tracks are read at {DEFAULT_SAMPLE_RATE} Hz"
+            )
         missing = [tid for tid, _ in tracks if tid not in quad_db.track_ids]
     if missing:
         raise DataError(f"tracks absent from the reference database: {missing[:3]}")
@@ -199,14 +192,15 @@ def run_sweep(
             for _ in range(cfg.n_queries):
                 ti = int(rng.integers(len(tracks)))
                 track_id, samples = tracks[ti]
-                duration = samples.size / sample_rate
+                duration = samples.size / DEFAULT_SAMPLE_RATE
                 max_start = duration - length * factor
                 if max_start < 0:
                     raise DataError(
                         f"track {track_id!r} too short for a {length}s x{factor} query"
                     )
-                start_s = 0.5 * int(rng.integers(int(max_start / 0.5) + 1))
-                query = cut_query(samples, sample_rate, start_s, length, factor)
+                hops = int(max_start / SEGMENT_HOP_SECONDS) + 1
+                start_s = SEGMENT_HOP_SECONDS * int(rng.integers(hops))
+                query = cut_query(samples, DEFAULT_SAMPLE_RATE, start_s, length, factor)
                 if cfg.system == "peaknetfp":
                     top = _rank_tracks_peaknetfp(model, db, backend, query, cfg.k)
                 else:

@@ -104,24 +104,17 @@ def quad_hash(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.
 def enumerate_quads(peaks: np.ndarray, fps: float, per_second: int) -> dict[str, np.ndarray]:
     """Emit up to ``per_second`` quads per second of material.
 
-    Roots are drained round-robin across one-second buckets, strongest roots
-    first, so coverage stays even in time. For each root A, candidate far
-    corners B (0.25-2 s later, at least MIN_DF_BINS away in frequency, so the
-    box never degenerates) are tried strongest first; the two strongest peaks
-    strictly inside the A-B box become C, D. A root yields at most
-    MAX_QUADS_PER_ROOT quads.
+    Roots are visited round-robin across one-second buckets: every bucket's
+    strongest root (ties: earlier frame, lower bin) in time order, then every
+    bucket's second strongest, and so on, so coverage stays even in time. For
+    each root A, candidate far corners B (0.25-2 s later, at least MIN_DF_BINS
+    away in frequency, so the box never degenerates) are tried strongest
+    first; the two strongest peaks strictly inside the A-B box become C, D. A
+    root yields at most MAX_QUADS_PER_ROOT quads.
     """
-    if peaks.shape[0] == 0:
-        return {
-            "hash": np.zeros((0, 4)),
-            "t0": np.zeros(0),
-            "dt": np.zeros(0),
-        }
     t, f, amp = peaks[:, 0], peaks[:, 1], peaks[:, 2]
-    duration = (t.max() + 1) / fps
-    target = int(round(per_second * duration))
+    target = int(round(per_second * ((t.max() + 1) / fps))) if t.size else 0
 
-    # per-root quad generators, grouped into one-second buckets
     def root_quads(ai: int) -> list[tuple[np.ndarray, float, float]]:
         dt = t - t[ai]
         cand = np.flatnonzero(
@@ -146,35 +139,19 @@ def enumerate_quads(peaks: np.ndarray, fps: float, per_second: int) -> dict[str,
                 break
         return out
 
+    # peaks by (second, -amp, t, f); a root's rank is its place in its second
     seconds = (t / fps).astype(np.int64)
-    buckets: list[list[int]] = []
-    for sec in np.unique(seconds):
-        idx = np.flatnonzero(seconds == sec)
-        idx = idx[np.lexsort((f[idx], t[idx], -amp[idx]))]
-        buckets.append(list(idx))
-
+    order = np.lexsort((f, t, -amp, seconds))
+    sec = seconds[order]
+    rank = np.arange(sec.size) - np.searchsorted(sec, sec)
     emitted: list[tuple[np.ndarray, float, float]] = []
-    rank = 0
-    while len(emitted) < target:
-        produced = False
-        for bucket in buckets:
-            if rank >= len(bucket):
-                continue
-            ai = bucket[rank]
-            for item in root_quads(ai):
-                emitted.append(item)
-                produced = True
-                if len(emitted) >= target:
-                    break
-            if len(emitted) >= target:
-                break
-        rank += 1
-        if not produced and rank > max(len(b) for b in buckets):
+    for ai in order[np.lexsort((sec, rank))]:
+        if len(emitted) >= target:
             break
-    if not emitted:
-        return {"hash": np.zeros((0, 4)), "t0": np.zeros(0), "dt": np.zeros(0)}
+        emitted.extend(root_quads(ai))
+    emitted = emitted[:target]
     return {
-        "hash": np.stack([h for h, _, _ in emitted]),
+        "hash": np.array([h for h, _, _ in emitted]).reshape(-1, 4),
         "t0": np.array([t0 for _, t0, _ in emitted]),
         "dt": np.array([dt for _, _, dt in emitted]),
     }

@@ -89,9 +89,7 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
         wf.writeframes(pcm.tobytes())
 
 
-def segment_clip(
-    clip: AudioClip | np.ndarray, sample_rate: int = DEFAULT_SAMPLE_RATE
-) -> np.ndarray:
+def segment_clip(clip: AudioClip) -> np.ndarray:
     """Cut a clip into full ``SEGMENT_SECONDS`` windows every
     ``SEGMENT_HOP_SECONDS``, so consecutive windows half overlap.
 
@@ -99,11 +97,7 @@ def segment_clip(
     fit entirely inside the clip are produced; a clip shorter than one window
     is an error.
     """
-    if isinstance(clip, AudioClip):
-        x = clip.samples
-        sample_rate = clip.sample_rate
-    else:
-        x = np.asarray(clip)
+    x, sample_rate = clip.samples, clip.sample_rate
     win = int(round(SEGMENT_SECONDS * sample_rate))
     hop = int(round(SEGMENT_HOP_SECONDS * sample_rate))
     if x.size < win:

@@ -98,12 +98,14 @@ def clip_clouds(
     rate is refused.
     """
     cfg = cfg or SpectrogramConfig()
-    if isinstance(clip, AudioClip) and clip.sample_rate != cfg.sample_rate:
+    if not isinstance(clip, AudioClip):
+        clip = AudioClip(np.asarray(clip), cfg.sample_rate)
+    if clip.sample_rate != cfg.sample_rate:
         raise DataError(
             f"clip is at {clip.sample_rate} Hz, the spectrogram config at "
             f"{cfg.sample_rate} Hz"
         )
-    windows = segment_clip(clip, sample_rate=cfg.sample_rate)
+    windows = segment_clip(clip)
     return np.stack([extract_peaks(melspectrogram(w, cfg)) for w in windows])
 
 

@@ -21,12 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import JsonConfig
 from ..errors import ConfigError, DataError, ShapeError
 
 log = logging.getLogger(__name__)
 
+
 @dataclass(frozen=True)
-class SpectrogramConfig:
+class SpectrogramConfig(JsonConfig):
     sample_rate: int = 8000
     n_fft: int = 1024
     hop: int = 256
@@ -45,23 +47,6 @@ class SpectrogramConfig:
     @property
     def frames_per_second(self) -> float:
         return self.sample_rate / self.hop
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "n_fft": self.n_fft,
-            "hop": self.hop,
-            "n_mels": self.n_mels,
-            "fmin": self.fmin,
-            "fmax": self.fmax,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpectrogramConfig":
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise ConfigError(f"bad spectrogram config: {exc}") from exc
 
 
 def _hz_to_mel(f):

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import container
+from .config import JsonConfig
 from .encoder import CHECKPOINT, PeakEncoder
 from .errors import ConfigError, ContractError, DataError, DecodeError, TrainingDiverged
 from .signal.audio import SEGMENT_HOP_SECONDS, SEGMENT_SECONDS, AudioClip
@@ -40,7 +41,7 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     pairs_per_batch: int = 8
     temperature: float = 0.05
     lr: float = 1e-3
@@ -65,27 +66,6 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0, steps_per_epoch >= 1")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "pairs_per_batch": self.pairs_per_batch,
-            "temperature": self.temperature,
-            "lr": self.lr,
-            "lr_min": self.lr_min,
-            "epochs": self.epochs,
-            "steps_per_epoch": self.steps_per_epoch,
-            "stretch_min": self.stretch_min,
-            "stretch_max": self.stretch_max,
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise ConfigError(f"bad train config: {exc}") from exc
 
 
 class SegmentDataset:

@@ -1,0 +1,136 @@
+"""The JSON codec every config shares: exact bytes, field coverage, refusals."""
+from __future__ import annotations
+
+import dataclasses
+import json
+
+import pytest
+
+from peaknetfp.encoder import DEFAULT_CONFIG, EncoderConfig
+from peaknetfp.errors import ConfigError
+from peaknetfp.evaluate import EvalConfig
+from peaknetfp.signal.spectral import SpectrogramConfig
+from peaknetfp.training import TrainConfig
+
+# the sorted-key JSON the hand-written codecs produced for the defaults;
+# checkpoints, quad.db files, reports and config_hash are built from it
+RECORDED = [
+    (
+        TrainConfig(),
+        '{"checkpoint_every": 5, "epochs": 20, "lr": 0.001, "lr_min": 1e-06, '
+        '"pairs_per_batch": 8, "seed": 0, "steps_per_epoch": null, '
+        '"stretch_max": 2.0, "stretch_min": 0.5, "temperature": 0.05}',
+    ),
+    (
+        EvalConfig(),
+        '{"backend": "exact", "factors": [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.975, '
+        '1.05, 1.1, 1.2, 1.4, 1.6, 1.8, 2.0], "k": 20, "lengths": [2.0, 3.0, 5.0, '
+        '6.0, 10.0], "n_queries": 20, "seed": 0, "system": "peaknetfp"}',
+    ),
+    (
+        SpectrogramConfig(),
+        '{"fmax": 4000.0, "fmin": 300.0, "hop": 256, "n_fft": 1024, '
+        '"n_mels": 256, "sample_rate": 8000}',
+    ),
+    (
+        DEFAULT_CONFIG,
+        '{"global_mlp": [128, 256, 128], "stage1": {"branches": ['
+        '{"group_size": 4, "mlp": [16, 16, 32], "radius": 0.1}, '
+        '{"group_size": 8, "mlp": [32, 32, 64], "radius": 0.2}, '
+        '{"group_size": 16, "mlp": [32, 48, 64], "radius": 0.3}], "n_anchors": 200}, '
+        '"stage2": {"branches": ['
+        '{"group_size": 4, "mlp": [32, 32, 64], "radius": 0.2}, '
+        '{"group_size": 8, "mlp": [64, 64, 128], "radius": 0.3}, '
+        '{"group_size": 16, "mlp": [64, 64, 128], "radius": 0.4}], "n_anchors": 100}}',
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, text", RECORDED, ids=lambda v: type(v).__name__)
+def test_default_json_is_byte_stable(cfg, text):
+    assert json.dumps(cfg.to_dict(), sort_keys=True) == text
+    assert type(cfg).from_dict(json.loads(text)) == cfg
+
+
+def test_config_hash_is_stable():
+    assert EvalConfig().config_hash() == "f4d8db92da86752b"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        TrainConfig(),
+        EvalConfig(),
+        SpectrogramConfig(),
+        DEFAULT_CONFIG,
+        DEFAULT_CONFIG.stage1,
+        DEFAULT_CONFIG.stage1.branches[0],
+    ],
+    ids=lambda c: type(c).__name__,
+)
+def test_keys_are_the_field_names_in_order(cfg):
+    names = [f.name for f in dataclasses.fields(cfg)]
+    assert list(cfg.to_dict()) == names
+
+
+def test_integer_eval_factors_give_the_same_json():
+    cfg = EvalConfig(factors=(1, 2), lengths=(2, 5))
+    assert cfg.to_dict()["factors"] == [1.0, 2.0]
+    assert EvalConfig.from_dict({"factors": [1, 2], "lengths": [2, 5]}) == cfg
+
+
+def _encoder_dict() -> dict:
+    return json.loads(json.dumps(DEFAULT_CONFIG.to_dict()))
+
+
+def _with_branch_key(d: dict) -> dict:
+    d["stage2"]["branches"][1]["mystery"] = 1
+    return d
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: {**_encoder_dict(), "mystery": 1},
+        lambda: _with_branch_key(_encoder_dict()),
+        lambda: {**_encoder_dict(), "stage1": 200},
+        lambda: {**_encoder_dict(), "stage1": {**_encoder_dict()["stage1"], "branches": 3}},
+        lambda: {k: v for k, v in _encoder_dict().items() if k != "global_mlp"},
+        lambda: {**_encoder_dict(), "global_mlp": [128, "wide"]},
+        lambda: [1, 2, 3],
+    ],
+    ids=[
+        "unknown-top",
+        "unknown-branch",
+        "stage1-not-dict",
+        "branches-not-list",
+        "missing-field",
+        "bad-width",
+        "not-a-dict",
+    ],
+)
+def test_encoder_config_refusals(make):
+    with pytest.raises(ConfigError):
+        EncoderConfig.from_dict(make())
+
+
+@pytest.mark.parametrize(
+    "cls, d",
+    [
+        (TrainConfig, {"bogus": 1}),
+        (TrainConfig, {"epochs": "many"}),
+        (EvalConfig, {"factors": 1.0}),
+        (EvalConfig, {"factors": ["fast"]}),
+        (SpectrogramConfig, {"sample_rate": 8000, "mystery": 0}),
+    ],
+)
+def test_flat_config_refusals(cls, d):
+    with pytest.raises(ConfigError):
+        cls.from_dict(d)
+
+
+def test_pinned_keys_at_their_values_still_load():
+    d = {**_encoder_dict(), "distance_mode": "3d", "bn_eps": 1e-5, "bn_momentum": 0.1}
+    assert EncoderConfig.from_dict(d) == DEFAULT_CONFIG
+    with pytest.raises(ConfigError, match="bn_momentum"):
+        EncoderConfig.from_dict({**d, "bn_momentum": 0.5})

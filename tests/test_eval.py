@@ -18,7 +18,9 @@ from peaknetfp.evaluate import (
     hr_at_1,
     run_sweep,
 )
+from peaknetfp.quadfp import QuadDB
 from peaknetfp.signal.peaks import CLOUD_SIZE, clip_clouds
+from peaknetfp.signal.spectral import SpectrogramConfig
 
 
 class TestEvalConfig:
@@ -199,6 +201,16 @@ class TestRunSweep:
             run_sweep(EvalConfig(), eval_rig.tracks, model=eval_rig.model)
         with pytest.raises(ConfigError):
             run_sweep(EvalConfig(system="quadfp"), eval_rig.tracks)
+
+    def test_quad_database_at_another_rate_rejected(self):
+        # sweep tracks are read at 8 kHz; queries cut from them cannot be
+        # matched against quads hashed at another rate
+        quad_db = QuadDB(spec_cfg=SpectrogramConfig(sample_rate=16000))
+        empty = {"hash": np.zeros((0, 4)), "t0": np.zeros(0), "dt": np.zeros(0)}
+        quad_db.add_track_quads("a", empty)
+        cfg = EvalConfig(system="quadfp", factors=(1.0,), lengths=(2.0,), n_queries=1)
+        with pytest.raises(DataError, match="16000 Hz"):
+            run_sweep(cfg, [("a", np.zeros(80000, dtype=np.float32))], quad_db=quad_db)
 
     def test_track_missing_from_database_rejected(self, eval_rig):
         stranger = [("nowhere", np.zeros(80000, dtype=np.float32))]

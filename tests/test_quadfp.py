@@ -5,7 +5,11 @@ import pytest
 import peaknetfp.reference as ref
 from peaknetfp.errors import DataError, DecodeError
 from peaknetfp.quadfp import (
+    DT_MAX_SECONDS,
+    DT_MIN_SECONDS,
     HASH_EPSILON,
+    MAX_QUADS_PER_ROOT,
+    MIN_DF_BINS,
     QUERY_QUADS_PER_SECOND,
     REF_QUADS_PER_SECOND,
     QuadDB,
@@ -171,6 +175,46 @@ class TestEnumerateQuads:
     def test_empty_peaks(self):
         out = enumerate_quads(np.zeros((0, 3)), 31.25, 25)
         assert out["hash"].shape == (0, 4)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("per_second", [0, 1, 5, REF_QUADS_PER_SECOND, 1000])
+    def test_roots_visited_round_robin_over_seconds(self, peaks, per_second, tied):
+        fps = 31.25
+        if tied:  # amplitudes on a coarse grid, so (t, f) break many ties
+            peaks = peaks.copy()
+            peaks[:, 2] = np.round(peaks[:, 2] / peaks[:, 2].max(), 1)
+        t, f, amp = peaks[:, 0], peaks[:, 1], peaks[:, 2]
+
+        def n_quads(ai):
+            # far corners B in the time and frequency window with two
+            # peaks strictly inside the A-B box, at most MAX_QUADS_PER_ROOT
+            n = 0
+            for bi in range(len(peaks)):
+                dt = t[bi] - t[ai]
+                if not DT_MIN_SECONDS * fps <= dt <= DT_MAX_SECONDS * fps:
+                    continue
+                if abs(f[bi] - f[ai]) < MIN_DF_BINS:
+                    continue
+                lo, hi = sorted((f[ai], f[bi]))
+                inside = (t > t[ai]) & (t < t[bi]) & (f > lo) & (f < hi)
+                n += int(inside.sum() >= 2)
+            return min(n, MAX_QUADS_PER_ROOT)
+
+        buckets: dict[int, list[int]] = {}
+        for i in range(len(peaks)):
+            buckets.setdefault(int(t[i] / fps), []).append(i)
+        for idx in buckets.values():
+            idx.sort(key=lambda i: (-amp[i], t[i], f[i], i))
+        target = int(round(per_second * ((t.max() + 1) / fps)))
+        want: list[float] = []
+        for rank in range(max(len(b) for b in buckets.values())):
+            for sec in sorted(buckets):
+                if rank < len(buckets[sec]) and len(want) < target:
+                    ai = buckets[sec][rank]
+                    want.extend([t[ai] / fps] * n_quads(ai))
+        got = enumerate_quads(peaks, fps, per_second)
+        np.testing.assert_array_equal(got["t0"], np.array(want[:target]))
+        assert got["hash"].shape == (len(got["t0"]), 4)
 
 
 class TestGridLookup:

@@ -127,24 +127,24 @@ class TestStretchAudio:
 class TestSegmentClip:
     def test_thirty_seconds_gives_59_segments(self):
         x = np.zeros(8000 * 30, dtype=np.float32)
-        assert segment_clip(x).shape == (59, 8000)
+        assert segment_clip(AudioClip(x)).shape == (59, 8000)
 
     @pytest.mark.parametrize("duration", [1.0, 1.5, 2.0, 5.5, 12.0])
     def test_count_matches_closed_form(self, duration):
         x = np.zeros(int(duration * 8000), dtype=np.float32)
-        n = segment_clip(x).shape[0]
+        n = segment_clip(AudioClip(x)).shape[0]
         assert n == int((duration - 1.0) / 0.5) + 1
 
     def test_windows_are_half_overlapping_slices(self):
         x = np.arange(16000, dtype=np.float32)
-        seg = segment_clip(x)
+        seg = segment_clip(AudioClip(x))
         assert seg.shape == (3, 8000)
         np.testing.assert_array_equal(seg[1], x[4000:12000])
         np.testing.assert_array_equal(seg[2], x[8000:])
 
     def test_too_short_raises(self):
         with pytest.raises(DataError):
-            segment_clip(np.zeros(7999, dtype=np.float32))
+            segment_clip(AudioClip(np.zeros(7999, dtype=np.float32)))
 
 
 class TestSpectrogram:
