@@ -5,6 +5,13 @@ dense matmul and the fused linear layer, same-shape add/sub/mul, scalar
 mul, transpose, relu, concat, max/sum reductions, log-softmax, row L2
 normalization, reshape, row gathering, scale-and-shift, and batch
 normalization.
+Training-mode MLP layers run as one fused node, ``mlp_layer`` =
+relu(batch_norm(linear(...))) with a hand-written backward that does the
+composition's arithmetic in its order, so its outputs and gradients equal the
+composition's bit for bit. ``linear``, ``batch_norm`` and ``relu`` stay: they
+are the reference ``mlp_layer`` is tested against, inference and the final
+projection use ``linear`` and ``relu``, and the benchmark's tracer wraps each
+op by name.
 Gradients flow through a recorded tape of closures, replayed in reverse
 topological order. float32 is the working dtype; float64 inputs are honored
 (gradient checks run the whole stack in float64).
@@ -12,8 +19,8 @@ topological order. float32 is the working dtype; float64 inputs are honored
 Deliberate restrictions, enforced loudly:
 - matmul is strictly 2-D;
 - broadcasting exists only where stated: the bias of ``linear``, the
-  per-channel vectors of ``scale_bias`` and ``batch_norm``, and ``mul``'s
-  scalar; ``add`` and ``sub`` take same-shape tensors only;
+  per-channel vectors of ``scale_bias``, ``batch_norm`` and ``mlp_layer``,
+  and ``mul``'s scalar; ``add`` and ``sub`` take same-shape tensors only;
 - ``backward()`` starts from scalars only.
 
 ``backward()`` consumes the graph it runs through: each node releases its
@@ -211,7 +218,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Fused x @ w + b for 2-D x; the workhorse of every MLP layer."""
+    """Fused x @ w + b for 2-D x: inference MLP layers and the final projection."""
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ShapeError(
             f"linear: bad ranks {x.data.shape} @ {w.data.shape} + {b.data.shape}"
@@ -449,6 +456,59 @@ def batch_norm(
         _accumulate(x, gx)
 
     out = _make(out_data, (x, gamma, beta), back)
+    return out, mu, var
+
+
+def _col_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # (a * b).sum(axis=0) bit for bit, without the (N, C) temporary
+    return np.einsum("ij,ij->j", a, b)
+
+
+def mlp_layer(
+    x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor
+) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """relu(batch_norm(linear(x, w, b), gamma, beta)) as one taped node.
+
+    Training mode only; returns (y, batch_mean, batch_var) as ``batch_norm``
+    does. The arithmetic is the composition's, in its order, so every bit
+    matches it; the tape keeps only the normalized activations and ``y``.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"mlp_layer: bad ranks {x.data.shape} @ {w.data.shape}")
+    n, c = x.data.shape[0], w.data.shape[1]
+    if x.data.shape[1] != w.data.shape[0] or not (
+        b.data.shape == gamma.data.shape == beta.data.shape == (c,)
+    ):
+        raise ShapeError(
+            f"mlp_layer: {x.data.shape} @ {w.data.shape}, b/gamma/beta must be ({c},)"
+        )
+    xhat = x.data @ w.data
+    xhat += b.data
+    mu = xhat.mean(axis=0)
+    xhat -= mu
+    var = _col_dot(xhat, xhat) / n
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv
+    out_data = xhat * gamma.data
+    out_data += beta.data
+    np.maximum(out_data, 0, out=out_data)
+
+    def back():
+        g = out.grad * (out_data > 0)  # fresh: out.grad may share a buffer
+        _accumulate(beta, g.sum(axis=0))
+        _accumulate(gamma, _col_dot(g, xhat))
+        g *= gamma.data
+        m1 = g.mean(axis=0)
+        m2 = _col_dot(g, xhat) / n
+        g -= m1
+        g -= xhat * m2
+        g *= inv
+        if x.requires_grad:  # the first layers take constant coordinates
+            _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+        _accumulate(b, g.sum(axis=0))
+
+    out = _make(out_data, (x, w, b, gamma, beta), back)
     return out, mu, var
 
 

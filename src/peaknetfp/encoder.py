@@ -292,20 +292,22 @@ class PeakEncoder:
     def _mlp(self, h: ad.Tensor, prefix: str, widths: tuple[int, ...], training: bool) -> ad.Tensor:
         for li in range(len(widths)):
             p = f"{prefix}.l{li}"
-            h = ad.linear(h, self.params[f"{p}.w"], self.params[f"{p}.b"])
+            w, b = self.params[f"{p}.w"], self.params[f"{p}.b"]
             gamma, beta = self.params[f"{p}.gamma"], self.params[f"{p}.beta"]
             if training:
-                h, mu, var = ad.batch_norm(h, gamma, beta)
+                h, mu, var = ad.mlp_layer(h, w, b, gamma, beta)
                 self.running[f"{p}.rmean"] += (BN_MOMENTUM * (mu - self.running[f"{p}.rmean"])).astype(self.dtype)
                 self.running[f"{p}.rvar"] += (BN_MOMENTUM * (var - self.running[f"{p}.rvar"])).astype(self.dtype)
             else:
+                # one rebinding per op, so no_grad frees each input as it goes
+                h = ad.linear(h, w, b)
                 inv = ad.constant(
                     (1.0 / np.sqrt(self.running[f"{p}.rvar"].astype(np.float64) + ad.BN_EPS)).astype(self.dtype)
                 )
                 scale = ad.mul(gamma, inv)
                 shift = ad.sub(beta, ad.mul(ad.constant(self.running[f"{p}.rmean"]), scale))
                 h = ad.scale_bias(h, scale, shift)
-            h = ad.relu(h)
+                h = ad.relu(h)
         return h
 
     def _stage(

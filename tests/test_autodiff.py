@@ -214,6 +214,83 @@ class TestPrimitiveGradients:
         check_grads(build, arrays, rtol=1e-4, atol=1e-6)
 
 
+def composed_mlp_layer(x, w, b, gamma, beta):
+    """The reference ``mlp_layer`` must match bit for bit."""
+    y, mu, var = ad.batch_norm(ad.linear(x, w, b), gamma, beta)
+    return ad.relu(y), mu, var
+
+
+class TestMlpLayer:
+    @staticmethod
+    def _run(layer, arrays, head, x_const):
+        t = {
+            k: ad.Tensor(v.copy(), requires_grad=not (x_const and k == "x"))
+            for k, v in arrays.items()
+        }
+        y, mu, var = layer(t["x"], t["w"], t["b"], t["gamma"], t["beta"])
+        ad.reduce_sum(ad.mul(y, ad.constant(head))).backward()
+        return {"y": y.data, "mu": mu, "var": var, **{k: v.grad for k, v in t.items()}}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "rows, dead_column, x_const",
+        [(1, False, False), (37, False, False), (37, True, False), (37, False, True)],
+    )
+    def test_bytes_equal_the_composed_ops(self, dtype, rows, dead_column, x_const):
+        rng = np.random.default_rng(rows)
+        arrays = {
+            "x": rng.normal(size=(rows, 5)),
+            "w": rng.normal(size=(5, 6)),
+            "b": rng.normal(size=6),
+            "gamma": rng.uniform(0.5, 1.5, 6),
+            "beta": rng.normal(size=6),
+        }
+        if dead_column:  # |xhat| < sqrt(rows), so ReLU zeroes all of column 2
+            arrays["beta"][2] = -10.0
+        arrays = {k: v.astype(dtype) for k, v in arrays.items()}
+        head = rng.normal(size=(rows, 6)).astype(dtype)
+        fused = self._run(ad.mlp_layer, arrays, head, x_const)
+        want = self._run(composed_mlp_layer, arrays, head, x_const)
+        if dead_column:
+            assert not fused["y"][:, 2].any() and not fused["gamma"][2]
+        assert (fused["x"] is None) == x_const
+        for k, v in want.items():
+            if v is None:
+                assert fused[k] is None, k
+            else:
+                assert fused[k].dtype == v.dtype == dtype, k
+                assert fused[k].tobytes() == v.tobytes(), k
+
+    def test_finite_differences_away_from_kink(self):
+        rng = np.random.default_rng(18)
+        x, w, b = rand(rng, 6, 3), rand(rng, 3, 4), rand(rng, 4)
+        gamma = rng.uniform(0.5, 1.5, 4)
+        z = x @ w + b
+        xhat = np.sort((z - z.mean(0)) / np.sqrt(z.var(0) + ad.BN_EPS), axis=0)
+        # each column's kink halfway between its 3rd and 4th normalized value
+        beta = -gamma * (xhat[2] + xhat[3]) / 2
+        assert (gamma * (xhat[3] - xhat[2]) / 2).min() > 0.05
+        head = rand(rng, 6, 4)
+        check_grads(
+            lambda t: ad.reduce_sum(
+                ad.mul(
+                    ad.mlp_layer(t["x"], t["w"], t["b"], t["g"], t["beta"])[0],
+                    ad.constant(head),
+                )
+            ),
+            {"x": x, "w": w, "b": b, "g": gamma, "beta": beta},
+            rtol=1e-4,
+            atol=1e-6,
+        )
+
+    def test_shape_violations(self):
+        x, w, v = ad.Tensor(np.ones((4, 3))), ad.Tensor(np.ones((3, 2))), ad.Tensor(np.ones(2))
+        with pytest.raises(ShapeError):
+            ad.mlp_layer(x, ad.Tensor(np.ones((2, 2))), v, v, v)
+        with pytest.raises(ShapeError):
+            ad.mlp_layer(x, w, v, ad.Tensor(np.ones(3)), v)
+
+
 class TestGraphMechanics:
     def test_backward_from_vector_rejected(self):
         t = ad.Tensor(np.ones(3), requires_grad=True)

@@ -298,6 +298,43 @@ class TestTrainLoop:
         for name in a.model.running:
             assert a.model.running[name].tobytes() == b.model.running[name].tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_mlp_layer_matches_composed_ops(self, toy_dataset, monkeypatch, dtype):
+        def run():
+            opts = []
+            step = ad.adam_step
+
+            def adam_step(params, state, lr):
+                opts.append(state)
+                step(params, state, lr)
+
+            with monkeypatch.context() as m:
+                m.setattr(ad, "adam_step", adam_step)
+                model = PeakEncoder(tiny_config(), seed=2, dtype=dtype)
+                result = train(toy_dataset, tiny_cfg(epochs=1, steps_per_epoch=3), model=model)
+            arrays = {f"p/{k}": p.data for k, p in model.params.items()}
+            arrays.update((f"r/{k}", a) for k, a in model.running.items())
+            arrays.update((f"m/{k}", a) for k, a in opts[-1].m.items())
+            arrays.update((f"v/{k}", a) for k, a in opts[-1].v.items())
+            return [r["loss"] for r in result.records], arrays
+
+        fused_losses, fused = run()
+        calls = []
+
+        def composed(x, w, b, gamma, beta):
+            calls.append(1)
+            y, mu, var = ad.batch_norm(ad.linear(x, w, b), gamma, beta)
+            return ad.relu(y), mu, var
+
+        monkeypatch.setattr(ad, "mlp_layer", composed)
+        composed_losses, want = run()
+        assert calls and len(fused_losses) == 3
+        assert fused_losses == composed_losses
+        assert fused.keys() == want.keys()
+        for k, v in want.items():
+            assert fused[k].dtype == v.dtype == dtype, k
+            assert fused[k].tobytes() == v.tobytes(), k
+
     def test_step_leaves_no_garbage_and_keeps_parameter_grads(self, toy_dataset):
         model = PeakEncoder(seed=0)
         gc.collect()
