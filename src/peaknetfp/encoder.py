@@ -22,11 +22,10 @@ checkpoints store as ``config``, from :class:`~peaknetfp.config.JsonConfig`.
 Grouping work is done once per stage and cloud, not once per branch: the
 distance matrix and the nearest-first order of the ``k = max(group_size)``
 closest points are shared by all branches, and each branch cuts its groups
-from that order at its own in-radius count. The top k come from a partition,
-not a full sort, under a tie rule that reproduces the stable sort exactly:
-with ``v`` the kth smallest distance of a row, every point with ``d2 < v``
-is kept, the remaining slots go to the lowest-index points with ``d2 == v``,
-and the kept points are ordered by ``(d2, index)``.
+from that order at its own in-radius count. The order comes from
+:func:`~peaknetfp.index.smallest_k`, a partition equal to a stable argsort,
+not a full sort. Anchors are the first points of a canonically
+ordered cloud, so each stage takes them by slicing.
 """
 from __future__ import annotations
 
@@ -41,6 +40,7 @@ from . import autodiff as ad
 from . import container
 from .config import JsonConfig
 from .errors import ConfigError, DecodeError, ShapeError
+from .index import smallest_k
 
 log = logging.getLogger(__name__)
 
@@ -162,25 +162,6 @@ def _squared_distances(anchors_xyz: np.ndarray, points: np.ndarray) -> np.ndarra
     return d2
 
 
-def _nearest_first(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of the k smallest entries per row, ordered by (d2, index).
-
-    Equal to ``argsort(d2, kind="stable")[:, :k]`` and the distances it
-    picks, without sorting whole rows: with ``v`` the kth smallest value of a
-    row, every column with ``d2 < v`` is kept and the remaining slots go to
-    the lowest-index columns with ``d2 == v``.
-    """
-    v = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-    less = d2 < v
-    ties = d2 == v
-    need = k - less.sum(axis=1, keepdims=True)
-    keep = less | (ties & (np.cumsum(ties, axis=1) <= need))
-    cols = np.nonzero(keep)[1].reshape(-1, k)  # ascending index within a row
-    kd2 = np.take_along_axis(d2, cols, axis=1)
-    o = np.argsort(kd2, axis=1, kind="stable")
-    return np.take_along_axis(cols, o, axis=1), np.take_along_axis(kd2, o, axis=1)
-
-
 def query_ball_groups(
     anchor_indices: np.ndarray,
     points: np.ndarray,
@@ -195,12 +176,9 @@ def query_ball_groups(
     idx = np.asarray(anchor_indices, dtype=np.int64)
     pts = np.asarray(points)
     d2 = _squared_distances(pts[idx], pts)
-    if not np.isfinite(pts).all():
-        # a NaN distance is never in radius, so where it ranks cannot change
-        # a group; rank it last so the top-k tie rule sees only numbers
-        d2[np.isnan(d2)] = np.inf
+    # smallest_k ranks a NaN distance as +inf, and it is never in radius
     k = min(max(g for _, g in branches), d2.shape[1])
-    order, od2 = _nearest_first(d2, k)
+    order, od2 = smallest_k(d2, k)
     groups = []
     for radius, group_size in branches:
         # in-radius count capped at the group size, all the cut needs
@@ -320,13 +298,13 @@ class PeakEncoder:
     ) -> tuple[np.ndarray, ad.Tensor]:
         b_sz, n, _ = xyz.shape
         n_anchor = spec.n_anchors
-        anchor_idx = np.stack([sample_anchors(xyz[b], n_anchor) for b in range(b_sz)])
+        # clouds arrive in canonical order, and a prefix of a sorted cloud
+        # stays sorted, so sample_anchors would pick the first n_anchor points
+        anchor_idx = np.arange(n_anchor)
         rows = np.arange(b_sz)[:, None]
-        new_xyz = xyz[rows, anchor_idx]
+        new_xyz = xyz[:, :n_anchor]
         branches = [(br.radius, br.group_size) for br in spec.branches]
-        per_cloud = [
-            query_ball_groups(anchor_idx[b], xyz[b], branches) for b in range(b_sz)
-        ]
+        per_cloud = [query_ball_groups(anchor_idx, xyz[b], branches) for b in range(b_sz)]
         outs = []
         for bi, br in enumerate(spec.branches):
             g = np.stack([groups[bi] for groups in per_cloud])

@@ -4,7 +4,9 @@ A :class:`FingerprintDB` holds one unit-norm vector per 1-second segment,
 grouped by track. Retrieval ranks rows by inner product (equivalently cosine,
 since rows are unit-norm). Two backends provide the ranking:
 
-* exact search over the full matrix;
+* exact search over the full matrix, taking each query's top k with
+  :func:`smallest_k` (a partition, not a full sort; ties go to the lower
+  row);
 * an inverted-file index with product-quantized residuals (IVFPQ) that probes
   only the most promising coarse cells, ranks their rows by a lookup-table
   estimate and re-scores the best ``RERANK`` of them with exact inner
@@ -31,6 +33,41 @@ DB_KIND = "fp.db"
 KMEANS_ITERS = 25
 # IVFPQ candidates re-scored exactly per query (at least k)
 RERANK = 128
+
+
+def smallest_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the k smallest entries per row and their values.
+
+    Equal to ``argsort(values, axis=1, kind="stable")[:, :k]`` and the values
+    it picks, without sorting whole rows: with ``v`` the kth smallest value of
+    a row, every column below ``v`` is kept, the remaining slots go to the
+    lowest-index columns equal to ``v``, and the kept columns are ordered by
+    (value, index). A NaN is read as +inf: it ranks after every finite value,
+    ties with +inf by index, and comes back as +inf.
+    """
+    vals = np.asarray(values)
+    if np.isnan(vals).any():
+        vals = np.where(np.isnan(vals), np.inf, vals)
+    v = np.partition(vals, k - 1, axis=1)[:, k - 1 : k]
+    less = vals < v
+    ties = vals == v
+    need = k - less.sum(axis=1, keepdims=True)
+    keep = less | (ties & (np.cumsum(ties, axis=1) <= need))
+    cols = np.nonzero(keep)[1].reshape(-1, k)  # ascending index within a row
+    kv = np.take_along_axis(vals, cols, axis=1)
+    o = np.argsort(kv, axis=1, kind="stable")
+    return np.take_along_axis(cols, o, axis=1), np.take_along_axis(kv, o, axis=1)
+
+
+def _checked_queries(queries: np.ndarray, dim: int | None, k: int, dtype) -> np.ndarray:
+    q = np.asarray(queries, dtype=dtype)
+    if q.ndim != 2 or q.shape[1] != dim:
+        raise DataError(f"queries must be 2-D with dim {dim}")
+    if not np.isfinite(q).all():
+        raise DataError("queries must be finite")
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    return q
 
 
 class FingerprintDB:
@@ -106,16 +143,14 @@ class FingerprintDB:
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-k rows by inner product; ties go to the lower row index.
 
-        Returns (rows, scores), each of shape (n_queries, min(k, n_rows)).
+        Every row is scored, then :func:`smallest_k` selects the top k of the
+        negated scores by partition, with no full sort. Returns (rows,
+        scores), each of shape (n_queries, min(k, n_rows)).
         """
-        q = np.asarray(queries, dtype=np.float32)
-        if q.ndim != 2 or q.shape[1] != self.dim:
-            raise DataError(f"queries must be 2-D with dim {self.dim}")
-        if k < 1:
-            raise ConfigError("k must be >= 1")
+        q = _checked_queries(queries, self.dim, k, np.float32)
         scores = q @ self.matrix.T
-        order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-        return order, np.take_along_axis(scores, order, axis=1)
+        rows, neg = smallest_k(-scores, min(k, scores.shape[1]))
+        return rows, -neg
 
     # -- serialization ------------------------------------------------------
 
@@ -211,7 +246,7 @@ class IVFPQIndex:
     assignments: np.ndarray  # (n_rows,) int64 coarse cell per row
     lists: list[np.ndarray]  # row ids per cell
     codebooks: list[np.ndarray]  # per subspace: (k_eff, sub_dim) float64
-    codes: np.ndarray  # (n_rows, m) uint16
+    codes: np.ndarray  # (n_rows, m) uint8 codeword per subspace (k_sub <= 256)
     n_probe: int
 
     @classmethod
@@ -243,7 +278,7 @@ class IVFPQIndex:
             block = residuals[:, j * sub : (j + 1) * sub]
             cb, lab = kmeans(block, k_sub, seed=[seed, 1 + j])
             codebooks.append(cb)
-            codes.append(lab.astype(np.uint16))
+            codes.append(lab.astype(np.uint8))
         return cls(
             db=db,
             centroids=centroids,
@@ -268,11 +303,7 @@ class IVFPQIndex:
         inner products, so every returned score is exact. Rows the probe
         never reached are padded as row -1 / score -inf.
         """
-        q = np.asarray(queries, dtype=np.float64)
-        if q.ndim != 2 or q.shape[1] != self.db.dim:
-            raise DataError(f"queries must be 2-D with dim {self.db.dim}")
-        if k < 1:
-            raise ConfigError("k must be >= 1")
+        q = _checked_queries(queries, self.db.dim, k, np.float64)
         m = self.codes.shape[1]
         sub = self.db.dim // m
         k_out = min(k, self.db.n_rows)
@@ -343,16 +374,14 @@ def sequence_match(
     if q.ndim != 2:
         raise DataError("queries must be 2-D (segments x dim)")
     rows, _ = (backend or db).search(q, k)
-    candidates = set()
-    for i in range(q.shape[0]):
-        for row in rows[i]:
-            if row < 0:
-                continue
-            track_id, seg = db.row_info(int(row))
-            candidates.add((track_id, seg - i))
-    scored = [
-        SequenceMatch(tid, off, alignment_score(db, tid, off, q))
-        for tid, off in candidates
-    ]
+    lay = db._layout()
+    seg_i, col = np.nonzero(rows >= 0)  # a backend pads rows it never reached with -1
+    hit = rows[seg_i, col]
+    track = lay["row_track"][hit]
+    offset = hit - lay["starts"][track] - seg_i
+    scored = []
+    for ti, off in np.unique(np.stack([track, offset], axis=1), axis=0).tolist():
+        tid = lay["ids"][ti]
+        scored.append(SequenceMatch(tid, off, alignment_score(db, tid, off, q)))
     scored.sort(key=lambda sm: (-sm.score, sm.track_id, sm.offset))
     return scored

@@ -127,6 +127,24 @@ class TestCanonicalOrderAndAnchors:
         with pytest.raises(ShapeError):
             sample_anchors(np.zeros((4, 3), dtype=np.float32), 5)
 
+    @pytest.mark.parametrize("config", [tiny_config(), DEFAULT_CONFIG])
+    def test_stage_anchors_are_sample_anchors(self, config):
+        # random clouds, padded ones (duplicate points) and ones with
+        # amplitude ties on a coarse grid
+        rng = np.random.default_rng(4)
+        n = 2 * config.stage1.n_anchors
+        clouds = [random_cloud(rng, n), padded_cloud(rng, 5, n)]
+        clouds.append(np.round(random_cloud(rng, n) * 4) / 4)
+        model = PeakEncoder(config, seed=0)
+        xyz1 = np.stack([canonical_order(c) for c in clouds])
+        xyz2, feats = model._stage(xyz1, None, config.stage1, "s1", training=False)
+        xyz3, _ = model._stage(xyz2, feats, config.stage2, "s2", training=False)
+        for stage_in, stage_out, spec in ((xyz1, xyz2, config.stage1), (xyz2, xyz3, config.stage2)):
+            for pts, anchors in zip(stage_in, stage_out):
+                idx = sample_anchors(pts, spec.n_anchors)
+                np.testing.assert_array_equal(idx, np.arange(spec.n_anchors))
+                np.testing.assert_array_equal(anchors, pts[idx])
+
 
 class TestQueryBall:
     def test_single_neighbor_padded_to_group(self):

@@ -11,6 +11,7 @@ from peaknetfp.index import (
     alignment_score,
     kmeans,
     sequence_match,
+    smallest_k,
 )
 
 
@@ -25,6 +26,47 @@ def make_db(track_sizes: dict, dim: int = 16, seed: int = 0) -> FingerprintDB:
     for tid, n in track_sizes.items():
         db.add_track(tid, unit_rows(rng, n, dim))
     return db
+
+
+class TestSmallestK:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_stable_argsort_under_heavy_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(1, 60))
+            # values on a coarse grid, so most rows have runs of equal values
+            v = rng.integers(-3, 4, size=(int(rng.integers(1, 8)), n)) / 2.0
+            if seed % 2:
+                v = v.astype(np.float32)
+            for k in sorted({1, max(1, n // 2), n}):
+                cols, vals = smallest_k(v, k)
+                want = np.argsort(v, axis=1, kind="stable")[:, :k]
+                np.testing.assert_array_equal(cols, want)
+                np.testing.assert_array_equal(vals, np.take_along_axis(v, want, axis=1))
+
+    def test_nan_ranks_as_inf(self):
+        v = np.array(
+            [
+                [np.nan, 2.0, np.inf, 1.0, np.nan, np.inf],
+                [np.nan, np.nan, 0.0, np.nan, -1.0, 0.0],
+            ]
+        )
+        cols, vals = smallest_k(v, 6)
+        # after every finite value, tied with +inf by index
+        np.testing.assert_array_equal(cols, [[3, 1, 0, 2, 4, 5], [4, 2, 5, 0, 1, 3]])
+        np.testing.assert_array_equal(vals[:, 2:], [[np.inf] * 4, [0.0, np.inf, np.inf, np.inf]])
+        np.testing.assert_array_equal(smallest_k(v, 3)[0], [[3, 1, 0], [4, 2, 5]])
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            w = rng.integers(0, 3, size=(4, 12)).astype(np.float64)
+            w[rng.random(w.shape) < 0.3] = np.nan
+            w[rng.random(w.shape) < 0.2] = np.inf
+            k = int(rng.integers(1, 13))
+            as_inf = np.where(np.isnan(w), np.inf, w)
+            want = np.argsort(as_inf, axis=1, kind="stable")[:, :k]
+            cols, vals = smallest_k(w, k)
+            np.testing.assert_array_equal(cols, want)
+            np.testing.assert_array_equal(vals, np.take_along_axis(as_inf, want, axis=1))
 
 
 class TestExactSearch:
@@ -50,8 +92,12 @@ class TestExactSearch:
 
     def test_k_clamped_to_row_count(self):
         db = make_db({"a": 7}, dim=8)
-        rows, scores = db.search(unit_rows(np.random.default_rng(0), 2, 8), k=50)
+        queries = unit_rows(np.random.default_rng(0), 2, 8)
+        rows, scores = db.search(queries, k=50)
         assert rows.shape == (2, 7) and scores.shape == (2, 7)
+        full = queries @ db.matrix.T
+        np.testing.assert_array_equal(rows, np.argsort(-full, axis=1, kind="stable"))
+        np.testing.assert_array_equal(scores, np.take_along_axis(full, rows, axis=1))
 
     def test_query_validation(self):
         db = make_db({"a": 7}, dim=8)
@@ -59,6 +105,24 @@ class TestExactSearch:
             db.search(np.zeros((2, 5), dtype=np.float32), k=1)
         with pytest.raises(ConfigError):
             db.search(unit_rows(np.random.default_rng(0), 1, 8), k=0)
+
+    def test_no_queries(self):
+        db = make_db({"a": 7}, dim=8)
+        rows, scores = db.search(np.zeros((0, 8), dtype=np.float32), k=3)
+        assert rows.shape == (0, 3) and scores.shape == (0, 3)
+        assert sequence_match(db, np.zeros((0, 8), dtype=np.float32), k=3) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        db = make_db({"a": 40}, dim=16)
+        index = IVFPQIndex.build(db, n_list=4, n_probe=2, m=4, seed=0)
+        q = unit_rows(np.random.default_rng(0), 3, 16)
+        q[1, 5] = bad
+        for backend in (db, index):
+            with pytest.raises(DataError):
+                backend.search(q, k=5)
+            with pytest.raises(DataError):
+                sequence_match(db, q, k=5, backend=backend)
 
 
 class TestDBContainer:
@@ -221,6 +285,12 @@ class TestIVFPQ:
         assert (rows[0] == -1).any()
         assert np.isneginf(scores[0][rows[0] == -1]).all()
 
+    def test_codes_are_bytes(self):
+        db = make_db({"a": 300}, dim=16, seed=3)
+        index = IVFPQIndex.build(db, n_list=4, n_probe=2, m=4, seed=0)
+        assert index.codes.dtype == np.uint8
+        assert int(index.codes.max()) == max(len(cb) for cb in index.codebooks) - 1
+
     def test_from_meta_uses_the_stored_parameters(self):
         db = make_db({"a": 30, "b": 20}, dim=16, seed=2)
         db.meta["ivfpq"] = {"n_list": 5, "n_probe": 2, "m": 4, "seed": 3}
@@ -245,7 +315,42 @@ def seq_db() -> FingerprintDB:
     return make_db({"a": 40, "b": 40, "c": 40}, dim=16, seed=21)
 
 
+def row_info_candidates(db, queries, k, backend=None) -> list[SequenceMatch]:
+    """``sequence_match`` with candidates gathered by a per-hit ``row_info`` loop."""
+    q = np.asarray(queries, dtype=np.float32)
+    rows, _ = (backend or db).search(q, k)
+    candidates = set()
+    for i in range(q.shape[0]):
+        for row in rows[i]:
+            if row < 0:
+                continue
+            track_id, seg = db.row_info(int(row))
+            candidates.add((track_id, seg - i))
+    scored = [
+        SequenceMatch(tid, off, alignment_score(db, tid, off, q)) for tid, off in candidates
+    ]
+    scored.sort(key=lambda sm: (-sm.score, sm.track_id, sm.offset))
+    return scored
+
+
 class TestSequenceMatch:
+    def test_candidates_equal_row_info_loop(self, seq_db):
+        rng = np.random.default_rng(10)
+        for start in (0, 17, 33):
+            noisy = seq_db.matrix[start : start + 6] + 0.3 * rng.normal(size=(6, 16))
+            q = (noisy / np.linalg.norm(noisy, axis=1, keepdims=True)).astype(np.float32)
+            for k in (1, 7, 200):
+                assert sequence_match(seq_db, q, k=k) == row_info_candidates(seq_db, q, k)
+
+    def test_candidates_equal_row_info_loop_with_padded_backend(self):
+        # the padding test's setup: one probed cell leaves -1 rows to skip
+        db = make_db({"a": 8}, dim=16, seed=1)
+        index = IVFPQIndex.build(db, n_list=8, n_probe=1, m=16, seed=0)
+        q = db.matrix[:3]
+        assert (index.search(q, k=8)[0] == -1).any()
+        got = sequence_match(db, q, k=8, backend=index)
+        assert got == row_info_candidates(db, q, 8, backend=index)
+        assert len(got) > 0
 
     def test_exact_excerpt_aligns_at_full_score(self, seq_db):
         q = seq_db.track_vectors("b")[10:15]
