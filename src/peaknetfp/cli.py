@@ -258,7 +258,7 @@ def cmd_selftest(args) -> int:
         np.array_equal(qdb.candidates(q), box_matches(hashes, q, HASH_EPSILON))
         for q in rng.random((20, 4))
     )
-    check("quad grid lookup matches linear scan", ok)
+    check("quad lookup matches linear scan", ok)
 
     v = rng.normal(size=(60, 16)).astype(np.float32)
     v /= np.linalg.norm(v, axis=1, keepdims=True)

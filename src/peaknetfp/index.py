@@ -132,12 +132,6 @@ class FingerprintDB:
     def track_vectors(self, track_id: str) -> np.ndarray:
         return self._blocks[track_id]
 
-    def row_info(self, row: int) -> tuple[str, int]:
-        """(track_id, segment index) of a matrix row."""
-        lay = self._layout()
-        ti = int(lay["row_track"][row])
-        return lay["ids"][ti], int(row - lay["starts"][ti])
-
     # -- exact retrieval ----------------------------------------------------
 
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +260,6 @@ class IVFPQIndex:
             n_list = int(np.ceil(np.sqrt(n)))
         if n_probe is None:
             n_probe = max(8, n_list // 8)
-        n_probe = min(n_probe, n_list)
         centroids, assign = kmeans(v, n_list, seed=[seed, 0])
         n_list = centroids.shape[0]
         lists = [np.flatnonzero(assign == i) for i in range(n_list)]
@@ -374,6 +367,7 @@ def sequence_match(
     if q.ndim != 2:
         raise DataError("queries must be 2-D (segments x dim)")
     rows, _ = (backend or db).search(q, k)
+    q64 = q.astype(np.float64)  # converted once for every alignment_score call
     lay = db._layout()
     seg_i, col = np.nonzero(rows >= 0)  # a backend pads rows it never reached with -1
     hit = rows[seg_i, col]
@@ -382,6 +376,6 @@ def sequence_match(
     scored = []
     for ti, off in np.unique(np.stack([track, offset], axis=1), axis=0).tolist():
         tid = lay["ids"][ti]
-        scored.append(SequenceMatch(tid, off, alignment_score(db, tid, off, q)))
+        scored.append(SequenceMatch(tid, off, alignment_score(db, tid, off, q64)))
     scored.sort(key=lambda sm: (-sm.score, sm.track_id, sm.offset))
     return scored

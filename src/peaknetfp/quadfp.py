@@ -4,17 +4,18 @@ Tracks are reduced to strong spectrogram maxima; groups of four peaks
 (A, B inner C, D) are hashed by expressing C and D in the coordinate frame
 that sends A to (0,0) and B to (1,1). Those four numbers are invariant to any
 affine rescaling of the time axis, so a tempo-modified query emits (nearly)
-the same hashes as the reference track. Retrieval matches hashes within an
-epsilon box, derives the implied stretch factor and track offset from each
-hit, and lets consistent (track, stretch, offset) cells vote.
+the same hashes as the reference track. Retrieval finds the stored hashes
+within an epsilon box (a KD-tree query in the max norm), derives the implied
+stretch factor and track offset from each hit, and lets consistent (track,
+stretch, offset) cells vote.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import KDTree
 
 from . import container
 from .errors import ConfigError, DataError, DecodeError
@@ -173,7 +174,7 @@ class QuadMatch:
 
 
 class QuadDB:
-    """Reference-side quad store with an epsilon-grid over hash space."""
+    """Reference-side quad store with a KD-tree over hash space."""
 
     def __init__(
         self,
@@ -188,7 +189,7 @@ class QuadDB:
         self.meta = dict(meta or {})
         # track id -> {"hash", "t0", "dt"} arrays, in insertion order
         self._quads: dict[str, dict[str, np.ndarray]] = {}
-        self._grid: dict | None = None
+        self._index: dict | None = None
 
     @property
     def fps(self) -> float:
@@ -213,12 +214,15 @@ class QuadDB:
     def add_track_quads(self, track_id: str, quads: dict[str, np.ndarray]) -> None:
         if track_id in self._quads:
             raise DataError(f"duplicate track id {track_id!r}")
-        self._quads[track_id] = {
+        arrays = {
             "hash": np.asarray(quads["hash"], dtype=np.float64).reshape(-1, 4),
             "t0": np.asarray(quads["t0"], dtype=np.float64).reshape(-1),
             "dt": np.asarray(quads["dt"], dtype=np.float64).reshape(-1),
         }
-        self._grid = None
+        if not all(np.isfinite(a).all() for a in arrays.values()):
+            raise DataError(f"track {track_id!r}: quad values must be finite")
+        self._quads[track_id] = arrays
+        self._index = None
 
     def _arrays(self) -> dict[str, np.ndarray]:
         """Every track's quad arrays, concatenated in insertion order."""
@@ -228,45 +232,29 @@ class QuadDB:
     # -- lookup ---------------------------------------------------------------
 
     def _layout(self) -> dict:
-        if self._grid is None:
+        if self._index is None:
             if not self._quads:
                 raise DataError("empty quad database")
             sizes = [q["hash"].shape[0] for q in self._quads.values()]
             arrays = self._arrays()
-            cells: dict[tuple, list[int]] = defaultdict(list)
-            keys = np.floor(arrays["hash"] / self.epsilon).astype(np.int64)
-            for i, key in enumerate(map(tuple, keys)):
-                cells[key].append(i)
-            self._grid = {
+            self._index = {
                 **arrays,
                 "ids": list(self._quads),
                 "track": np.repeat(
                     np.arange(len(sizes), dtype=np.int64), sizes
                 ),
-                "cells": dict(cells),
+                "tree": KDTree(arrays["hash"]),
             }
-        return self._grid
+        return self._index
 
     def candidates(self, query_hash: np.ndarray) -> np.ndarray:
-        """Quad ids within +-epsilon of the query hash (grid-accelerated)."""
-        lay = self._layout()
-        lo = np.floor((query_hash - self.epsilon) / self.epsilon).astype(np.int64)
-        hi = np.floor((query_hash + self.epsilon) / self.epsilon).astype(np.int64)
-        found: list[int] = []
-        cells = lay["cells"]
-        for k0 in range(lo[0], hi[0] + 1):
-            for k1 in range(lo[1], hi[1] + 1):
-                for k2 in range(lo[2], hi[2] + 1):
-                    for k3 in range(lo[3], hi[3] + 1):
-                        found.extend(cells.get((k0, k1, k2, k3), ()))
-        if not found:
-            return np.zeros(0, dtype=np.int64)
-        ids = np.array(sorted(found), dtype=np.int64)
-        keep = (
-            np.abs(lay["hash"][ids] - query_hash[None, :]).max(axis=1)
-            <= self.epsilon
-        )
-        return ids[keep]
+        """Quad ids within +-epsilon of the query hash, ascending: the rows
+        ``box_matches`` returns, found by a KD-tree query in the max norm."""
+        if not np.isfinite(query_hash).all():
+            raise DataError("query hash must be finite")
+        tree = self._layout()["tree"]
+        found = tree.query_ball_point(query_hash, self.epsilon, p=np.inf, return_sorted=True)
+        return np.asarray(found, dtype=np.int64)
 
     def query_quads(self, samples: np.ndarray) -> dict[str, np.ndarray]:
         spec = melspectrogram(np.asarray(samples, dtype=np.float32), self.spec_cfg)
@@ -279,41 +267,28 @@ class QuadDB:
 
     def match_quads(self, quads: dict[str, np.ndarray]) -> list[QuadMatch]:
         lay = self._layout()
-        votes: dict[tuple, int] = defaultdict(int)
+        hits = [self.candidates(np.asarray(h, dtype=np.float64)) for h in quads["hash"]]
+        qi = np.concatenate([np.zeros(0, dtype=np.int64), *hits])
+        owner = np.repeat(np.arange(len(hits)), [ids.size for ids in hits])  # query quad per hit
+        s_hat = lay["dt"][qi] / np.asarray(quads["dt"], dtype=np.float64)[owner]
+        ok = (STRETCH_MIN <= s_hat) & (s_hat <= STRETCH_MAX)
+        qi, s_hat, owner = qi[ok], s_hat[ok], owner[ok]
         log_lo, log_hi = np.log2(STRETCH_MIN), np.log2(STRETCH_MAX)
-        for h, t0_q, dt_q in zip(quads["hash"], quads["t0"], quads["dt"]):
-            for qi in self.candidates(np.asarray(h, dtype=np.float64)):
-                s_hat = lay["dt"][qi] / dt_q
-                if not STRETCH_MIN <= s_hat <= STRETCH_MAX:
-                    continue
-                s_bin = int(
-                    np.clip(
-                        (np.log2(s_hat) - log_lo) / (log_hi - log_lo) * STRETCH_BINS,
-                        0,
-                        STRETCH_BINS - 1,
-                    )
-                )
-                offset = lay["t0"][qi] - s_hat * t0_q
-                o_bin = int(np.floor(offset / OFFSET_BIN_SECONDS))
-                votes[(int(lay["track"][qi]), s_bin, o_bin)] += 1
-        best: dict[int, tuple] = {}
-        for (ti, s_bin, o_bin), count in votes.items():
-            key = (
-                -count,
-                s_bin,
-                o_bin,
-            )
-            if ti not in best or key < best[ti][0]:
-                center = 2.0 ** (log_lo + (s_bin + 0.5) / STRETCH_BINS * (log_hi - log_lo))
-                best[ti] = (key, count, center, o_bin * OFFSET_BIN_SECONDS)
-        ranked = sorted(
-            (
-                QuadMatch(lay["ids"][ti], count, float(center), float(off))
-                for ti, (_, count, center, off) in best.items()
-            ),
-            key=lambda m: (-m.votes, m.track_id),
-        )
-        return ranked
+        s_bin = np.clip(
+            (np.log2(s_hat) - log_lo) / (log_hi - log_lo) * STRETCH_BINS, 0, STRETCH_BINS - 1
+        ).astype(np.int64)
+        offset = lay["t0"][qi] - s_hat * np.asarray(quads["t0"], dtype=np.float64)[owner]
+        o_bin = np.floor(offset / OFFSET_BIN_SECONDS).astype(np.int64)
+        cell = np.stack([lay["track"][qi], s_bin, o_bin], axis=1)
+        cells, votes = np.unique(cell, axis=0, return_counts=True)
+        # each track's best cell: most votes, then lower stretch bin, then lower offset bin
+        order = np.lexsort((cells[:, 2], cells[:, 1], -votes, cells[:, 0]))
+        best = order[np.unique(cells[order, 0], return_index=True)[1]]
+        ranked = []
+        for (ti, s_bin, o_bin), count in zip(cells[best].tolist(), votes[best].tolist()):
+            center = 2.0 ** (log_lo + (s_bin + 0.5) / STRETCH_BINS * (log_hi - log_lo))
+            ranked.append(QuadMatch(lay["ids"][ti], count, float(center), o_bin * OFFSET_BIN_SECONDS))
+        return sorted(ranked, key=lambda m: (-m.votes, m.track_id))
 
     # -- serialization ----------------------------------------------------------
 

@@ -1,8 +1,11 @@
-"""Quad hashing, emission, grid lookup, and the voting cascade."""
+"""Quad hashing, emission, lookup, and the voting cascade."""
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 import peaknetfp.reference as ref
+from peaknetfp import container
 from peaknetfp.errors import DataError, DecodeError
 from peaknetfp.quadfp import (
     DT_MAX_SECONDS,
@@ -10,8 +13,13 @@ from peaknetfp.quadfp import (
     HASH_EPSILON,
     MAX_QUADS_PER_ROOT,
     MIN_DF_BINS,
+    OFFSET_BIN_SECONDS,
+    QUAD_KIND,
     QUERY_QUADS_PER_SECOND,
     REF_QUADS_PER_SECOND,
+    STRETCH_BINS,
+    STRETCH_MAX,
+    STRETCH_MIN,
     QuadDB,
     QuadMatch,
     box_matches,
@@ -217,8 +225,8 @@ class TestEnumerateQuads:
         assert got["hash"].shape == (len(got["t0"]), 4)
 
 
-class TestGridLookup:
-    def test_grid_equals_linear_scan(self):
+class TestLookup:
+    def test_lookup_equals_linear_scan(self):
         rng = np.random.default_rng(4)
         hashes = rng.random((2000, 4))
         db = QuadDB(epsilon=HASH_EPSILON)
@@ -242,6 +250,98 @@ class TestGridLookup:
         assert db.candidates(on_edge).size == 1
         beyond = np.array([0.5 + eps * 1.01, 0.5, 0.5, 0.5])
         assert db.candidates(beyond).size == 0
+
+    @pytest.mark.parametrize("axis", range(4))
+    def test_box_edge_within_ulps_equals_linear_scan(self, axis):
+        # stored points a few ulp inside and outside +-epsilon on one axis,
+        # well inside the box on the others
+        rng = np.random.default_rng(10 + axis)
+        queries = rng.uniform(0.05, 0.95, size=(20, 4))
+        stored = []
+        for q in queries:
+            for sign in (-1.0, 1.0):
+                edge = q[axis] + sign * HASH_EPSILON
+                for ulps in range(-3, 4):
+                    p = q + rng.uniform(-0.5, 0.5, size=4) * HASH_EPSILON
+                    p[axis] = edge
+                    for _ in range(abs(ulps)):
+                        p[axis] = np.nextafter(p[axis], np.copysign(np.inf, ulps))
+                    stored.append(p)
+        hashes = np.array(stored)
+        db = QuadDB()
+        n = len(hashes)
+        db.add_track_quads("t", {"hash": hashes, "t0": np.zeros(n), "dt": np.ones(n)})
+        n_edge_hits = 0
+        for q in queries:
+            want = box_matches(hashes, q, HASH_EPSILON)
+            np.testing.assert_array_equal(db.candidates(q), want)
+            n_edge_hits += want.size
+        assert 0 < n_edge_hits < n  # some edge points in, some out
+
+    def test_tracks_without_quads(self):
+        db = QuadDB()
+        for tid in ("a", "b"):
+            db.add_track_quads(tid, {"hash": np.zeros((0, 4)), "t0": [], "dt": []})
+        got = db.candidates(np.full(4, 0.5))
+        assert got.dtype == np.int64 and got.shape == (0,)
+        query = {"hash": np.full((3, 4), 0.5), "t0": np.zeros(3), "dt": np.ones(3)}
+        assert db.match_quads(query) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_hash_rejected(self, bad):
+        db = QuadDB()
+        db.add_track_quads("t", {"hash": np.full((1, 4), 0.5), "t0": [0.0], "dt": [1.0]})
+        q = np.full(4, 0.5)
+        q[2] = bad
+        with pytest.raises(DataError):
+            db.candidates(q)
+        with pytest.raises(DataError):
+            db.match_quads({"hash": q[None, :], "t0": [0.0], "dt": [1.0]})
+
+    @pytest.mark.parametrize("key", ["hash", "t0", "dt"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stored_quad_rejected(self, key, bad):
+        quads = {"hash": np.full((2, 4), 0.5), "t0": np.zeros(2), "dt": np.ones(2)}
+        quads[key][-1] = bad
+        db = QuadDB()
+        with pytest.raises(DataError):
+            db.add_track_quads("t", quads)
+        assert db.track_ids == []
+
+
+def loop_match_quads(db: QuadDB, quads: dict) -> list[QuadMatch]:
+    """``match_quads`` as a loop over every box hit, voting into a dict."""
+    lay = db._layout()
+    votes: dict[tuple, int] = defaultdict(int)
+    log_lo, log_hi = np.log2(STRETCH_MIN), np.log2(STRETCH_MAX)
+    for h, t0_q, dt_q in zip(quads["hash"], quads["t0"], quads["dt"]):
+        for qi in box_matches(lay["hash"], np.asarray(h, dtype=np.float64), db.epsilon):
+            s_hat = lay["dt"][qi] / dt_q
+            if not STRETCH_MIN <= s_hat <= STRETCH_MAX:
+                continue
+            s_bin = int(
+                np.clip(
+                    (np.log2(s_hat) - log_lo) / (log_hi - log_lo) * STRETCH_BINS,
+                    0,
+                    STRETCH_BINS - 1,
+                )
+            )
+            offset = lay["t0"][qi] - s_hat * t0_q
+            o_bin = int(np.floor(offset / OFFSET_BIN_SECONDS))
+            votes[(int(lay["track"][qi]), s_bin, o_bin)] += 1
+    best: dict[int, tuple] = {}
+    for (ti, s_bin, o_bin), count in votes.items():
+        key = (-count, s_bin, o_bin)
+        if ti not in best or key < best[ti][0]:
+            center = 2.0 ** (log_lo + (s_bin + 0.5) / STRETCH_BINS * (log_hi - log_lo))
+            best[ti] = (key, count, center, o_bin * OFFSET_BIN_SECONDS)
+    return sorted(
+        (
+            QuadMatch(lay["ids"][ti], count, float(center), float(off))
+            for ti, (_, count, center, off) in best.items()
+        ),
+        key=lambda m: (-m.votes, m.track_id),
+    )
 
 
 class TestVotingCascade:
@@ -293,6 +393,56 @@ class TestVotingCascade:
         ranked = db.match_quads({"hash": h, "t0": [1.0], "dt": [1.0]})
         assert [m.track_id for m in ranked] == ["alpha", "zeta"]
         assert ranked[0].votes == ranked[1].votes == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_loop_oracle_on_random_quads(self, seed):
+        # coarse hash, time and duration grids make many hits collide in a
+        # cell; stretches outside [0.5, 2] and far-off hashes vote nowhere
+        rng = np.random.default_rng(seed)
+        db = QuadDB()
+        for tid in ("delta", "bravo", "charlie", "alpha"):
+            n = int(rng.integers(20, 80))
+            db.add_track_quads(
+                tid,
+                {
+                    "hash": rng.integers(1, 20, size=(n, 4)) / 20.0,
+                    "t0": rng.integers(0, 40, size=n) / 4.0,
+                    "dt": rng.integers(2, 8, size=n) / 4.0,
+                },
+            )
+        lay = db._layout()
+        m = 300
+        pick = rng.integers(0, len(lay["t0"]), size=m)
+        stretch = rng.choice([0.3, 0.45, 0.5, 0.8, 1.0, 1.25, 2.0, 2.2, 3.0], size=m)
+        noise = rng.integers(-2, 3, size=(m, 4)) * (HASH_EPSILON / 4)
+        far = rng.random(m) < 0.2
+        query = {
+            "hash": np.where(far[:, None], 5.0, lay["hash"][pick] + noise),
+            "t0": (lay["t0"][pick] - rng.integers(0, 8, size=m) / 4.0) / stretch,
+            "dt": lay["dt"][pick] / stretch,
+        }
+        got = db.match_quads(query)
+        assert got == loop_match_quads(db, query)
+        assert len(got) >= 2
+
+    def test_equals_loop_oracle_on_ties_and_no_hits(self):
+        db = QuadDB()
+        h1, h2, h3 = [0.2] * 4, [0.5] * 4, [0.8] * 4
+        # one track, one vote each at stretch 1.0: offsets 3.0 and 1.0
+        db.add_track_quads("two", {"hash": [h3, h3], "t0": [3.0, 1.0], "dt": [1.0, 1.0]})
+        # one track, one vote each: stretch 1.0 and stretch 0.8 (lower bin)
+        db.add_track_quads("one", {"hash": [h1, h2], "t0": [5.0, 5.0], "dt": [1.0, 0.8]})
+        query = {"hash": [h1, h2, h3], "t0": [0.0, 0.0, 0.0], "dt": [1.0, 1.0, 1.0]}
+        got = db.match_quads(query)
+        assert got == loop_match_quads(db, query)
+        by_id = {m.track_id: m for m in got}
+        assert by_id["one"].votes == 1 and by_id["one"].stretch < 0.85
+        assert by_id["two"].offset_seconds == 1.0
+        assert [m.track_id for m in got] == ["one", "two"]  # tied: lower id first
+        no_hits = {"hash": [[0.35] * 4], "t0": [0.0], "dt": [1.0]}
+        empty = {"hash": np.zeros((0, 4)), "t0": [], "dt": []}
+        for q in (no_hits, empty):
+            assert db.match_quads(q) == loop_match_quads(db, q) == []
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +520,18 @@ class TestSerialization:
             QuadDB.load(bad)
         with pytest.raises(DataError):
             QuadDB.load(tmp_path / "absent.quad")
+
+    def test_non_finite_hash_in_file_is_decode_error(self, tmp_path):
+        db = QuadDB()
+        db.add_track("t", synth_track(3.0, seed=50))
+        path = tmp_path / "nan.quad"
+        db.save(path)
+        arrays, meta = container.read(path, QUAD_KIND)
+        arrays["hash"] = arrays["hash"].copy()
+        arrays["hash"][3, 1] = np.nan
+        container.write(path, QUAD_KIND, arrays, meta)  # a valid container
+        with pytest.raises(DecodeError):
+            QuadDB.load(path)
 
     def test_duplicate_and_empty_db(self, tmp_path):
         db = QuadDB()
