@@ -32,13 +32,10 @@ def _palette(rng: np.random.Generator) -> np.ndarray:
     return np.array(freqs[:-1])
 
 
-def make_track(
-    index: int,
-    seconds: float = TRACK_SECONDS,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
-    seed: int = 0,
-) -> np.ndarray:
-    """One synthetic track; a pure function of (index, seconds, seed)."""
+def make_track(index: int, seconds: float = TRACK_SECONDS, seed: int = 0) -> np.ndarray:
+    """One synthetic track at ``DEFAULT_SAMPLE_RATE``; a pure function of
+    (index, seconds, seed)."""
+    sample_rate = DEFAULT_SAMPLE_RATE
     rng = np.random.default_rng([seed, 7000 + index])
     n = int(round(seconds * sample_rate))
     t = np.arange(n) / sample_rate
@@ -106,15 +103,9 @@ def make_track(
 
 
 def make_corpus(
-    n_tracks: int = N_TRACKS,
-    seconds: float = TRACK_SECONDS,
-    seed: int = 0,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
+    n_tracks: int = N_TRACKS, seconds: float = TRACK_SECONDS, seed: int = 0
 ) -> list[tuple[str, np.ndarray]]:
-    return [
-        (f"track{i:03d}", make_track(i, seconds, sample_rate, seed))
-        for i in range(n_tracks)
-    ]
+    return [(f"track{i:03d}", make_track(i, seconds, seed)) for i in range(n_tracks)]
 
 
 def write_corpus(
@@ -122,14 +113,13 @@ def write_corpus(
     n_tracks: int = N_TRACKS,
     seconds: float = TRACK_SECONDS,
     seed: int = 0,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
 ) -> list[Path]:
     """Write the corpus as wav files; returns the paths in track order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for name, samples in make_corpus(n_tracks, seconds, seed, sample_rate):
+    for name, samples in make_corpus(n_tracks, seconds, seed):
         path = out / f"{name}.wav"
-        write_wav(path, AudioClip(samples, sample_rate))
+        write_wav(path, AudioClip(samples))
         paths.append(path)
     return paths

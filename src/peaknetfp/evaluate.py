@@ -148,9 +148,8 @@ def run_sweep(
 ) -> EvalReport:
     """HR@1 for every configured (factor, length) cell.
 
-    Track samples are taken to be at ``DEFAULT_SAMPLE_RATE``, the rate
-    ``clip_clouds`` reads a bare array at; a quad database built at another
-    rate is refused.
+    Track samples are taken to be at ``DEFAULT_SAMPLE_RATE``, the rate of
+    the one front end both systems read audio with.
     """
     if cfg.system == "peaknetfp":
         if model is None or db is None:
@@ -159,11 +158,6 @@ def run_sweep(
     else:
         if quad_db is None:
             raise ConfigError("quadfp evaluation needs a quad database")
-        if quad_db.spec_cfg.sample_rate != DEFAULT_SAMPLE_RATE:
-            raise DataError(
-                f"the quad database is at {quad_db.spec_cfg.sample_rate} Hz, "
-                f"tracks are read at {DEFAULT_SAMPLE_RATE} Hz"
-            )
         missing = [tid for tid, _ in tracks if tid not in quad_db.track_ids]
     if missing:
         raise DataError(f"tracks absent from the reference database: {missing[:3]}")

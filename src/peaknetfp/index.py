@@ -252,6 +252,8 @@ class IVFPQIndex:
         m: int = 16,
         seed: int = 0,
     ) -> "IVFPQIndex":
+        if any(p is not None and p < 1 for p in (m, n_list, n_probe)):
+            raise ConfigError(f"need m, n_list, n_probe >= 1, got {m}, {n_list}, {n_probe}")
         v = db.matrix.astype(np.float64)
         n, dim = v.shape
         if dim % m:
@@ -285,8 +287,15 @@ class IVFPQIndex:
     @classmethod
     def from_meta(cls, db: FingerprintDB) -> "IVFPQIndex":
         """The index whose parameters ``build-index --ivfpq`` stored in
-        ``db.meta["ivfpq"]``; ``build``'s defaults and seed 0 without them."""
-        return cls.build(db, **db.meta.get("ivfpq", {}))
+        ``db.meta["ivfpq"]``; ``build``'s defaults and seed 0 without them.
+        A stored entry it cannot build from is a :class:`DecodeError`."""
+        params = db.meta.get("ivfpq", {})
+        try:
+            if not isinstance(params, dict) or any(type(v) is not int for v in params.values()):
+                raise ConfigError("not an object of integers")
+            return cls.build(db, **params)
+        except (TypeError, ValueError, ConfigError) as exc:
+            raise DecodeError(f"stored ivfpq parameters {params!r}: {exc}") from exc
 
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Approximate top-k rows; same contract as FingerprintDB.search.

@@ -19,10 +19,16 @@ from scipy.spatial import KDTree
 
 from . import container
 from .errors import ConfigError, DataError, DecodeError
+from .signal.audio import DEFAULT_SAMPLE_RATE
 from .signal.peaks import local_maxima
-from .signal.spectral import SpectrogramConfig, melspectrogram
+from .signal.spectral import FMAX, FMIN, FRAMES_PER_SECOND, HOP, N_FFT, N_MELS, melspectrogram
 
 QUAD_KIND = "quad.db"
+# the front end every quad.db is hashed with, stored in its meta
+SPECTROGRAM = {
+    "sample_rate": DEFAULT_SAMPLE_RATE, "n_fft": N_FFT, "hop": HOP,
+    "n_mels": N_MELS, "fmin": FMIN, "fmax": FMAX,
+}
 
 PEAKS_PER_SECOND = 30
 REF_QUADS_PER_SECOND = 25
@@ -81,12 +87,11 @@ def spectrogram_peaks(
     order = np.lexsort((rows, cols, -values.astype(np.float64)))
     rows, cols, values = rows[order], cols[order], values[order]
     t, f = parabolic_refine(spec, rows, cols)
+    # by second, amplitude order kept within each; a peak's rank is its place in its second
     seconds = (t / fps).astype(np.int64)
-    keep = []
-    for sec in np.unique(seconds):
-        bucket = np.flatnonzero(seconds == sec)[:per_second]
-        keep.append(bucket)
-    keep = np.concatenate(keep)
+    by_sec = np.argsort(seconds, kind="stable")
+    sec = seconds[by_sec]
+    keep = by_sec[np.arange(sec.size) - np.searchsorted(sec, sec) < per_second]
     out = np.stack([t[keep], f[keep], values[keep].astype(np.float64)], axis=1)
     return out[np.lexsort((out[:, 1], out[:, 0]))]  # by (time, freq)
 
@@ -176,24 +181,14 @@ class QuadMatch:
 class QuadDB:
     """Reference-side quad store with a KD-tree over hash space."""
 
-    def __init__(
-        self,
-        spec_cfg: SpectrogramConfig | None = None,
-        epsilon: float = HASH_EPSILON,
-        meta: dict | None = None,
-    ):
+    def __init__(self, epsilon: float = HASH_EPSILON, meta: dict | None = None):
         if epsilon <= 0:
             raise ConfigError("epsilon must be positive")
-        self.spec_cfg = spec_cfg or SpectrogramConfig()
         self.epsilon = float(epsilon)
         self.meta = dict(meta or {})
         # track id -> {"hash", "t0", "dt"} arrays, in insertion order
         self._quads: dict[str, dict[str, np.ndarray]] = {}
         self._index: dict | None = None
-
-    @property
-    def fps(self) -> float:
-        return self.spec_cfg.frames_per_second
 
     @property
     def track_ids(self) -> list[str]:
@@ -206,9 +201,9 @@ class QuadDB:
     def add_track(self, track_id: str, samples: np.ndarray) -> None:
         if track_id in self._quads:
             raise DataError(f"duplicate track id {track_id!r}")
-        spec = melspectrogram(np.asarray(samples, dtype=np.float32), self.spec_cfg)
-        peaks = spectrogram_peaks(spec, self.fps)
-        quads = enumerate_quads(peaks, self.fps, REF_QUADS_PER_SECOND)
+        spec = melspectrogram(np.asarray(samples, dtype=np.float32))
+        peaks = spectrogram_peaks(spec, FRAMES_PER_SECOND)
+        quads = enumerate_quads(peaks, FRAMES_PER_SECOND, REF_QUADS_PER_SECOND)
         self.add_track_quads(track_id, quads)
 
     def add_track_quads(self, track_id: str, quads: dict[str, np.ndarray]) -> None:
@@ -257,9 +252,9 @@ class QuadDB:
         return np.asarray(found, dtype=np.int64)
 
     def query_quads(self, samples: np.ndarray) -> dict[str, np.ndarray]:
-        spec = melspectrogram(np.asarray(samples, dtype=np.float32), self.spec_cfg)
-        peaks = spectrogram_peaks(spec, self.fps)
-        return enumerate_quads(peaks, self.fps, QUERY_QUADS_PER_SECOND)
+        spec = melspectrogram(np.asarray(samples, dtype=np.float32))
+        peaks = spectrogram_peaks(spec, FRAMES_PER_SECOND)
+        return enumerate_quads(peaks, FRAMES_PER_SECOND, QUERY_QUADS_PER_SECOND)
 
     def match(self, samples: np.ndarray) -> list[QuadMatch]:
         """Rank tracks for a (possibly tempo-modified) audio excerpt."""
@@ -297,7 +292,7 @@ class QuadDB:
             raise DataError("empty quad database")
         tracks = [[tid, len(q["hash"])] for tid, q in self._quads.items()]
         meta = {"info": self.meta, "epsilon": self.epsilon, "tracks": tracks}
-        meta["spectrogram"] = self.spec_cfg.to_dict()
+        meta["spectrogram"] = SPECTROGRAM
         container.write(path, QUAD_KIND, self._arrays(), meta)
 
     @classmethod
@@ -308,8 +303,9 @@ class QuadDB:
             total = len(t0)
             if (hashes.shape, t0.shape, dt.shape) != ((total, 4), (total,), (total,)):
                 raise DataError("quad arrays disagree in length")
-            spec_cfg = SpectrogramConfig.from_dict(meta["spectrogram"])
-            db = cls(spec_cfg=spec_cfg, epsilon=meta["epsilon"], meta=meta["info"])
+            if meta["spectrogram"] != SPECTROGRAM:
+                raise DataError(f"front end {meta['spectrogram']!r} is not {SPECTROGRAM!r}")
+            db = cls(epsilon=meta["epsilon"], meta=meta["info"])
             start = 0
             for tid, n in container.track_runs(meta, total):
                 sl = slice(start, start + n)

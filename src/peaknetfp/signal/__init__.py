@@ -19,7 +19,6 @@ from .peaks import (
     write_peaks,
 )
 from .spectral import (
-    SpectrogramConfig,
     mel_filterbank,
     melspectrogram,
     stft_magnitude,
@@ -30,7 +29,6 @@ __all__ = [
     "DEFAULT_SAMPLE_RATE",
     "AudioClip",
     "PeakEntry",
-    "SpectrogramConfig",
     "clip_clouds",
     "extract_peaks",
     "load_audio",

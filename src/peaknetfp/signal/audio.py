@@ -1,4 +1,4 @@
-"""Audio loading, mono resampling (8 kHz by default), segmentation, and time
+"""Audio loading, mono resampling to 8 kHz, segmentation, and time
 stretching.
 
 The stretcher is a WSOLA (waveform similarity overlap-add) implementation:
@@ -58,8 +58,8 @@ def _to_float(raw: bytes, sampwidth: int) -> np.ndarray:
     raise DataError(f"unsupported WAV sample width: {sampwidth} bytes")
 
 
-def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> AudioClip:
-    """Read a PCM WAV file, mix to mono, and resample to ``target_rate``."""
+def load_audio(path: str | Path) -> AudioClip:
+    """Read a PCM WAV file, mix to mono, and resample to ``DEFAULT_SAMPLE_RATE``."""
     path = Path(path)
     try:
         with wave.open(str(path), "rb") as wf:
@@ -73,10 +73,10 @@ def load_audio(path: str | Path, target_rate: int = DEFAULT_SAMPLE_RATE) -> Audi
     x = _to_float(raw, sampwidth)
     if n_channels > 1:
         x = x.reshape(-1, n_channels).mean(axis=1)
-    if rate != target_rate:
-        g = np.gcd(rate, target_rate)
-        x = resample_poly(x.astype(np.float64), target_rate // g, rate // g)
-    return AudioClip(np.ascontiguousarray(x, dtype=np.float32), target_rate)
+    if rate != DEFAULT_SAMPLE_RATE:
+        g = np.gcd(rate, DEFAULT_SAMPLE_RATE)
+        x = resample_poly(x.astype(np.float64), DEFAULT_SAMPLE_RATE // g, rate // g)
+    return AudioClip(np.ascontiguousarray(x, dtype=np.float32))
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:

@@ -23,8 +23,8 @@ from scipy.ndimage import maximum_filter
 
 from .. import container
 from ..errors import DataError, DecodeError, ShapeError
-from .audio import AudioClip, segment_clip
-from .spectral import SpectrogramConfig, melspectrogram
+from .audio import DEFAULT_SAMPLE_RATE, AudioClip, segment_clip
+from .spectral import melspectrogram
 
 log = logging.getLogger(__name__)
 
@@ -89,24 +89,20 @@ def extract_peaks(
     return cloud
 
 
-def clip_clouds(
-    clip: AudioClip | np.ndarray, cfg: SpectrogramConfig | None = None
-) -> np.ndarray:
+def clip_clouds(clip: AudioClip | np.ndarray) -> np.ndarray:
     """All segment peak clouds of a clip, shape (n_segments, CLOUD_SIZE, 3).
 
-    A bare array is taken to be at ``cfg.sample_rate``; a clip at any other
-    rate is refused.
+    A bare array is taken to be at ``DEFAULT_SAMPLE_RATE``; a clip at any
+    other rate is refused.
     """
-    cfg = cfg or SpectrogramConfig()
     if not isinstance(clip, AudioClip):
-        clip = AudioClip(np.asarray(clip), cfg.sample_rate)
-    if clip.sample_rate != cfg.sample_rate:
+        clip = AudioClip(np.asarray(clip))
+    if clip.sample_rate != DEFAULT_SAMPLE_RATE:
         raise DataError(
-            f"clip is at {clip.sample_rate} Hz, the spectrogram config at "
-            f"{cfg.sample_rate} Hz"
+            f"clip is at {clip.sample_rate} Hz, the front end at {DEFAULT_SAMPLE_RATE} Hz"
         )
     windows = segment_clip(clip)
-    return np.stack([extract_peaks(melspectrogram(w, cfg)) for w in windows])
+    return np.stack([extract_peaks(melspectrogram(w)) for w in windows])
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,16 @@
 
 Conventions, fixed here and relied on everywhere else:
 
-- STFT frames are centered: the input is reflect-padded by ``n_fft // 2`` on
-  both sides, giving ``1 + n_samples // hop`` frames. At the 8 kHz default
-  (window 1024, hop 256) a one-second segment is exactly 32 frames.
+- One front end: samples at ``DEFAULT_SAMPLE_RATE`` (8 kHz), a periodic Hann
+  window of ``N_FFT`` (1024), hop ``HOP`` (256), ``N_MELS`` (256) mel bands
+  over ``FMIN``..``FMAX`` (300-4000 Hz).
+- STFT frames are centered: the input is reflect-padded by ``N_FFT // 2`` on
+  both sides, giving ``1 + n_samples // HOP`` frames, so a one-second segment
+  is exactly 32 frames.
 - Spectrograms are magnitude (not power, not log), shaped
-  ``(n_mels, n_frames)``.
+  ``(N_MELS, n_frames)``.
 - Mel filters are triangles with peak 1 on the HTK mel scale
-  (``2595 * log10(1 + f / 700)``), spanning fmin..fmax.
+  (``2595 * log10(1 + f / 700)``), spanning FMIN..FMAX.
 - ``stretch_spectrogram`` resamples the time axis bilinearly with
   align-corners mapping ``u = j * (n_in - 1) / (n_out - 1)`` and
   ``n_out = round(n_in / factor)``, so factor 1 is the exact identity.
@@ -16,37 +19,21 @@ Conventions, fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import functools
-import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import JsonConfig
 from ..errors import ConfigError, DataError, ShapeError
+from .audio import DEFAULT_SAMPLE_RATE
 
-log = logging.getLogger(__name__)
+# The NeuralFP front end (Chang et al., ICASSP 2021) at DEFAULT_SAMPLE_RATE.
+N_FFT = 1024
+HOP = 256
+N_MELS = 256
+FMIN = 300.0
+FMAX = 4000.0
+FRAMES_PER_SECOND = DEFAULT_SAMPLE_RATE / HOP
 
-
-@dataclass(frozen=True)
-class SpectrogramConfig(JsonConfig):
-    sample_rate: int = 8000
-    n_fft: int = 1024
-    hop: int = 256
-    n_mels: int = 256
-    fmin: float = 300.0
-    fmax: float = 4000.0
-
-    def __post_init__(self) -> None:
-        if self.n_fft <= 0 or self.hop <= 0 or self.n_mels <= 0:
-            raise ConfigError("n_fft, hop and n_mels must be positive")
-        if not 0 <= self.fmin < self.fmax <= self.sample_rate / 2:
-            raise ConfigError(
-                f"need 0 <= fmin < fmax <= Nyquist, got {self.fmin}..{self.fmax}"
-            )
-
-    @property
-    def frames_per_second(self) -> float:
-        return self.sample_rate / self.hop
+_WINDOW = np.hanning(N_FFT + 1)[:-1].astype(np.float32)
 
 
 def _hz_to_mel(f):
@@ -57,60 +44,41 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=16)
-def _cached_filterbank(cfg: SpectrogramConfig) -> np.ndarray:
-    # one read-only matrix per config, shared by every melspectrogram call
-    n_bins = cfg.n_fft // 2 + 1
-    bin_hz = np.arange(n_bins) * cfg.sample_rate / cfg.n_fft
-    edges = _mel_to_hz(
-        np.linspace(_hz_to_mel(cfg.fmin), _hz_to_mel(cfg.fmax), cfg.n_mels + 2)
-    )
-    fb = np.zeros((cfg.n_mels, n_bins), dtype=np.float64)
-    for j in range(cfg.n_mels):
-        left, center, right = edges[j], edges[j + 1], edges[j + 2]
-        up = (bin_hz - left) / (center - left)
-        down = (right - bin_hz) / (right - center)
-        fb[j] = np.clip(np.minimum(up, down), 0.0, None)
-    if not (fb.max(axis=1) > 0).all():
-        raise ConfigError(
-            "mel filterbank has empty filters; widen fmin..fmax or lower n_mels"
-        )
-    fb = fb.astype(np.float32)
+@functools.cache
+def mel_filterbank() -> np.ndarray:
+    """Triangular filter matrix of shape (N_MELS, N_FFT // 2 + 1), built once
+    and shared read-only by every ``melspectrogram`` call."""
+    n_bins = N_FFT // 2 + 1
+    bin_hz = np.arange(n_bins) * DEFAULT_SAMPLE_RATE / N_FFT
+    edges = _mel_to_hz(np.linspace(_hz_to_mel(FMIN), _hz_to_mel(FMAX), N_MELS + 2))
+    # filter j rises from edges[j] to 1 at edges[j + 1] and falls to 0 at edges[j + 2]
+    left, center, right = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    up = (bin_hz - left) / (center - left)
+    down = (right - bin_hz) / (right - center)
+    fb = np.clip(np.minimum(up, down), 0.0, None).astype(np.float32)
     fb.flags.writeable = False
     return fb
 
 
-def mel_filterbank(cfg: SpectrogramConfig) -> np.ndarray:
-    """Triangular filter matrix of shape (n_mels, n_fft // 2 + 1).
-
-    Returns a fresh writable copy; ``melspectrogram`` uses a cached read-only
-    matrix built once per config.
-    """
-    return _cached_filterbank(cfg).copy()
-
-
-def stft_magnitude(samples: np.ndarray, cfg: SpectrogramConfig | None = None) -> np.ndarray:
-    """Centered magnitude STFT, shape (n_fft // 2 + 1, 1 + n // hop)."""
-    cfg = cfg or SpectrogramConfig()
+def stft_magnitude(samples: np.ndarray) -> np.ndarray:
+    """Centered magnitude STFT, shape (N_FFT // 2 + 1, 1 + n // HOP)."""
     x = np.asarray(samples, dtype=np.float32)
     if x.ndim != 1:
         raise ShapeError(f"expected 1-D samples, got {x.shape}")
-    if x.size < cfg.hop:
+    if x.size < HOP:
         raise DataError(f"clip too short for STFT: {x.size} samples")
-    pad = cfg.n_fft // 2
+    pad = N_FFT // 2
     xp = np.pad(x, pad, mode="reflect")
-    n_frames = 1 + x.size // cfg.hop
-    frames = np.lib.stride_tricks.sliding_window_view(xp, cfg.n_fft)[:: cfg.hop]
+    n_frames = 1 + x.size // HOP
+    frames = np.lib.stride_tricks.sliding_window_view(xp, N_FFT)[::HOP]
     frames = frames[:n_frames]
-    window = np.hanning(cfg.n_fft + 1)[:-1].astype(np.float32)
-    spec = np.abs(np.fft.rfft(frames * window, axis=1)).astype(np.float32)
+    spec = np.abs(np.fft.rfft(frames * _WINDOW, axis=1)).astype(np.float32)
     return spec.T
 
 
-def melspectrogram(samples: np.ndarray, cfg: SpectrogramConfig | None = None) -> np.ndarray:
-    """Mel magnitude spectrogram, shape (n_mels, n_frames)."""
-    cfg = cfg or SpectrogramConfig()
-    return _cached_filterbank(cfg) @ stft_magnitude(samples, cfg)
+def melspectrogram(samples: np.ndarray) -> np.ndarray:
+    """Mel magnitude spectrogram, shape (N_MELS, n_frames)."""
+    return mel_filterbank() @ stft_magnitude(samples)
 
 
 def stretch_spectrogram(spec: np.ndarray, factor: float) -> np.ndarray:

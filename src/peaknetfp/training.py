@@ -4,7 +4,7 @@ Each batch holds ``pairs_per_batch`` segments: the original segment cloud and
 a tempo-stretched replica of the same content, interleaved (x_0, x̂_0, x_1,
 x̂_1, ...). Replicas are built in the spectrogram domain: crop the audio the
 stretched window needs, mel-transform, resample the time axis back to the
-segment frame count of the spectrogram config, re-extract peaks. The loss
+segment frame count, re-extract peaks. The loss
 pulls each pair together against every other embedding in the batch
 (temperature-scaled softmax over inner products).
 
@@ -28,14 +28,9 @@ from . import container
 from .config import JsonConfig
 from .encoder import CHECKPOINT, PeakEncoder
 from .errors import ConfigError, ContractError, DataError, DecodeError, TrainingDiverged
-from .signal.audio import SEGMENT_HOP_SECONDS, SEGMENT_SECONDS, AudioClip
+from .signal.audio import DEFAULT_SAMPLE_RATE, SEGMENT_HOP_SECONDS, SEGMENT_SECONDS, AudioClip
 from .signal.peaks import CLOUD_SIZE, clip_clouds, extract_peaks
-from .signal.spectral import (
-    SpectrogramConfig,
-    fit_frames,
-    melspectrogram,
-    stretch_spectrogram,
-)
+from .signal.spectral import HOP, fit_frames, melspectrogram, stretch_spectrogram
 
 log = logging.getLogger(__name__)
 
@@ -72,39 +67,33 @@ class SegmentDataset:
     """Per-segment peak clouds of a track collection, plus stretch replicas.
 
     Originals come from ``clip_clouds``, the front end queries go through.
-    Bare sample arrays are taken to be at the spectrogram config's rate; a
-    clip at another rate is refused. Replicas are fitted to the frame count
-    of an original segment at that config, ``1 + window // hop``.
+    Bare sample arrays are taken to be at ``DEFAULT_SAMPLE_RATE``; a clip at
+    another rate is refused. Replicas are fitted to the frame count of an
+    original segment, ``1 + window // HOP``.
     """
 
-    def __init__(
-        self,
-        tracks: list[tuple[str, np.ndarray | AudioClip]],
-        spec_cfg: SpectrogramConfig | None = None,
-    ):
+    def __init__(self, tracks: list[tuple[str, np.ndarray | AudioClip]]):
         if not tracks:
             raise DataError("empty track collection")
-        self.spec_cfg = spec_cfg or SpectrogramConfig()
         self._samples: list[np.ndarray] = []
         self.track_ids: list[str] = []
         rows: list[tuple[int, int]] = []  # (track_idx, start)
         clouds: list[np.ndarray] = []
-        sr = self.spec_cfg.sample_rate
-        win = int(round(SEGMENT_SECONDS * sr))
-        hop = int(round(SEGMENT_HOP_SECONDS * sr))
+        win = int(round(SEGMENT_SECONDS * DEFAULT_SAMPLE_RATE))
+        hop = int(round(SEGMENT_HOP_SECONDS * DEFAULT_SAMPLE_RATE))
         for ti, (track_id, audio) in enumerate(tracks):
             if not isinstance(audio, AudioClip):
-                audio = AudioClip(np.asarray(audio), sr)
+                audio = AudioClip(np.asarray(audio))
             x = audio.samples.astype(np.float32, copy=False)
             if x.size < win:
                 raise DataError(f"track {track_id!r} is shorter than one segment")
-            clouds.append(clip_clouds(AudioClip(x, audio.sample_rate), self.spec_cfg))
+            clouds.append(clip_clouds(AudioClip(x, audio.sample_rate)))
             self.track_ids.append(track_id)
             self._samples.append(x)
             rows.extend((ti, si * hop) for si in range(len(clouds[-1])))
         self._rows = rows
         self._win = win
-        self._frames = 1 + win // self.spec_cfg.hop
+        self._frames = 1 + win // HOP
         log.info("dataset: %d tracks, %d segments", len(tracks), len(rows))
         self.originals = np.concatenate(clouds)
 
@@ -114,8 +103,7 @@ class SegmentDataset:
 
     def eligible_indices(self, window_seconds: float) -> np.ndarray:
         """Segments whose start + window_seconds still fits the track."""
-        sr = self.spec_cfg.sample_rate
-        need = int(round(window_seconds * sr))
+        need = int(round(window_seconds * DEFAULT_SAMPLE_RATE))
         return np.array(
             [
                 i
@@ -133,7 +121,7 @@ class SegmentDataset:
             raise DataError(
                 f"segment {index} cannot host a x{factor:.3f} replica window"
             )
-        spec = melspectrogram(self._samples[ti][start : start + need], self.spec_cfg)
+        spec = melspectrogram(self._samples[ti][start : start + need])
         spec = fit_frames(stretch_spectrogram(spec, factor), self._frames)
         return extract_peaks(spec)
 

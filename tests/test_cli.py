@@ -301,6 +301,27 @@ class TestPipeline:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0].startswith("1\ttrack001")
 
+    @pytest.mark.parametrize(
+        "flags", [["--m", "0"], ["--m", "-1"], ["--n-list", "0"], ["--n-probe", "0"]]
+    )
+    def test_ivfpq_parameters_below_one_rejected(self, eval_rig, tmp_path, flags):
+        db_path = tmp_path / "fp.db"
+        shutil.copy(eval_rig.db_path, db_path)
+        assert main(["build-index", "--db", str(db_path), "--ivfpq", *flags]) == 2
+        assert db_path.read_bytes() == eval_rig.db_path.read_bytes()
+
+    @pytest.mark.parametrize("stored", [{"bogus": 1}, {"n_probe": 0}])
+    def test_unbuildable_stored_ivfpq_is_decode_error(self, eval_rig, tmp_path, stored):
+        db = FingerprintDB.load(eval_rig.db_path)
+        db.meta["ivfpq"] = stored
+        db_path = tmp_path / "fp.db"
+        db.save(db_path)
+        argv = [
+            "query", "--db", str(db_path), "--model", str(eval_rig.model_path),
+            "--audio", str(eval_rig.wav_dir / "track001.wav"), "--len", "3", "--ivfpq",
+        ]
+        assert main(argv) == 2
+
     def test_evaluate_writes_reports(self, eval_rig, tmp_path):
         cfg_path = tmp_path / "ecfg.json"
         cfg_path.write_text(

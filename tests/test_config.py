@@ -9,7 +9,6 @@ import pytest
 from peaknetfp.encoder import DEFAULT_CONFIG, EncoderConfig
 from peaknetfp.errors import ConfigError
 from peaknetfp.evaluate import EvalConfig
-from peaknetfp.signal.spectral import SpectrogramConfig
 from peaknetfp.training import TrainConfig
 
 # the sorted-key JSON the hand-written codecs produced for the defaults;
@@ -26,11 +25,6 @@ RECORDED = [
         '{"backend": "exact", "factors": [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.975, '
         '1.05, 1.1, 1.2, 1.4, 1.6, 1.8, 2.0], "k": 20, "lengths": [2.0, 3.0, 5.0, '
         '6.0, 10.0], "n_queries": 20, "seed": 0, "system": "peaknetfp"}',
-    ),
-    (
-        SpectrogramConfig(),
-        '{"fmax": 4000.0, "fmin": 300.0, "hop": 256, "n_fft": 1024, '
-        '"n_mels": 256, "sample_rate": 8000}',
     ),
     (
         DEFAULT_CONFIG,
@@ -61,7 +55,6 @@ def test_config_hash_is_stable():
     [
         TrainConfig(),
         EvalConfig(),
-        SpectrogramConfig(),
         DEFAULT_CONFIG,
         DEFAULT_CONFIG.stage1,
         DEFAULT_CONFIG.stage1.branches[0],
@@ -121,7 +114,6 @@ def test_encoder_config_refusals(make):
         (TrainConfig, {"epochs": "many"}),
         (EvalConfig, {"factors": 1.0}),
         (EvalConfig, {"factors": ["fast"]}),
-        (SpectrogramConfig, {"sample_rate": 8000, "mystery": 0}),
     ],
 )
 def test_flat_config_refusals(cls, d):

@@ -7,8 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from peaknetfp import container
 from peaknetfp import reference as ref
-from peaknetfp.errors import ConfigError, DataError
+from peaknetfp.cli import main
+from peaknetfp.corpus import make_track
+from peaknetfp.errors import ConfigError, DataError, DecodeError
 from peaknetfp.index import FingerprintDB, IVFPQIndex
 from peaknetfp.evaluate import (
     DEFAULT_FACTORS,
@@ -18,9 +21,9 @@ from peaknetfp.evaluate import (
     hr_at_1,
     run_sweep,
 )
-from peaknetfp.quadfp import QuadDB
+from peaknetfp.quadfp import QUAD_KIND, QuadDB
+from peaknetfp.signal.audio import AudioClip, write_wav
 from peaknetfp.signal.peaks import CLOUD_SIZE, clip_clouds
-from peaknetfp.signal.spectral import SpectrogramConfig
 
 
 class TestEvalConfig:
@@ -202,15 +205,23 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             run_sweep(EvalConfig(system="quadfp"), eval_rig.tracks)
 
-    def test_quad_database_at_another_rate_rejected(self):
-        # sweep tracks are read at 8 kHz; queries cut from them cannot be
-        # matched against quads hashed at another rate
-        quad_db = QuadDB(spec_cfg=SpectrogramConfig(sample_rate=16000))
-        empty = {"hash": np.zeros((0, 4)), "t0": np.zeros(0), "dt": np.zeros(0)}
-        quad_db.add_track_quads("a", empty)
-        cfg = EvalConfig(system="quadfp", factors=(1.0,), lengths=(2.0,), n_queries=1)
-        with pytest.raises(DataError, match="16000 Hz"):
-            run_sweep(cfg, [("a", np.zeros(80000, dtype=np.float32))], quad_db=quad_db)
+    def test_quad_database_at_another_rate_rejected(self, tmp_path):
+        # queries are read at 8 kHz; a file whose quads were hashed at another
+        # rate cannot be matched against them and does not load
+        samples = make_track(0, 4.0)
+        quad_db = QuadDB()
+        quad_db.add_track("a", samples)
+        path = tmp_path / "quad.db"
+        quad_db.save(path)
+        arrays, meta = container.read(path, QUAD_KIND)
+        meta["spectrogram"]["sample_rate"] = 16000
+        container.write(path, QUAD_KIND, arrays, meta)  # a valid container
+        with pytest.raises(DecodeError, match="16000"):
+            QuadDB.load(path)
+        wav = tmp_path / "a.wav"
+        write_wav(wav, AudioClip(samples))
+        args = ["quadfp", "query", "--db", str(path), "--audio", str(wav), "--len", "3"]
+        assert main(args) == 2
 
     def test_track_missing_from_database_rejected(self, eval_rig):
         stranger = [("nowhere", np.zeros(80000, dtype=np.float32))]

@@ -308,6 +308,33 @@ class TestIVFPQ:
         with pytest.raises(ConfigError):
             IVFPQIndex.build(db, m=16)
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"m": 0}, {"m": -1}, {"n_list": 0}, {"n_list": -3}, {"n_probe": 0}, {"n_probe": -1}],
+    )
+    def test_parameters_below_one_rejected(self, params):
+        db = make_db({"a": 30}, dim=16, seed=1)
+        with pytest.raises(ConfigError):
+            IVFPQIndex.build(db, **params)
+
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            {"bogus": 1},
+            {"m": 0},
+            {"n_probe": 0},
+            {"m": 5},  # 16 dims do not split into 5 subspaces
+            {"n_list": "4"},
+            {"seed": -1},
+            [4, 2],
+        ],
+    )
+    def test_unbuildable_stored_parameters_are_decode_errors(self, stored):
+        db = make_db({"a": 30}, dim=16, seed=1)
+        db.meta["ivfpq"] = stored
+        with pytest.raises(DecodeError):
+            IVFPQIndex.from_meta(db)
+
 
 @pytest.fixture(scope="module")
 def seq_db() -> FingerprintDB:

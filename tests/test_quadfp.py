@@ -1,4 +1,5 @@
 """Quad hashing, emission, lookup, and the voting cascade."""
+import json
 from collections import defaultdict
 
 import numpy as np
@@ -29,7 +30,7 @@ from peaknetfp.quadfp import (
     spectrogram_peaks,
 )
 from peaknetfp.signal.audio import AudioClip, stretch_audio
-from peaknetfp.signal.spectral import SpectrogramConfig, melspectrogram, stretch_spectrogram
+from peaknetfp.signal.spectral import FRAMES_PER_SECOND, melspectrogram, stretch_spectrogram
 
 
 def synth_track(seconds: float, seed: int) -> np.ndarray:
@@ -154,7 +155,7 @@ class TestSpectrogramPeaks:
 
 @pytest.fixture(scope="module")
 def peaks():
-    spec = melspectrogram(synth_track(8.0, seed=3), SpectrogramConfig())
+    spec = melspectrogram(synth_track(8.0, seed=3))
     return spectrogram_peaks(spec, 31.25)
 
 
@@ -467,12 +468,10 @@ class TestEndToEndAudio:
         x = synth_track(6.0, seed=32)  # == track2
         for s in (0.8, 1.25):
             excerpt = x[4000 : 4000 + int(round(3 * 8000 * s))]
-            spec = stretch_spectrogram(
-                melspectrogram(excerpt, SpectrogramConfig()), s
-            )
-            peaks = spectrogram_peaks(spec, corpus_db.fps)
+            spec = stretch_spectrogram(melspectrogram(excerpt), s)
+            peaks = spectrogram_peaks(spec, FRAMES_PER_SECOND)
             ranked = corpus_db.match_quads(
-                enumerate_quads(peaks, corpus_db.fps, QUERY_QUADS_PER_SECOND)
+                enumerate_quads(peaks, FRAMES_PER_SECOND, QUERY_QUADS_PER_SECOND)
             )
             assert ranked[0].track_id == "track2", f"factor {s}"
             assert abs(np.log2(ranked[0].stretch) - np.log2(s)) <= 2 * (2.0 / 32)
@@ -501,6 +500,17 @@ class TestSerialization:
         assert back.n_quads == db.n_quads
         np.testing.assert_array_equal(back._layout()["hash"], db._layout()["hash"])
         np.testing.assert_array_equal(back._layout()["dt"], db._layout()["dt"])
+
+    def test_stored_front_end_is_byte_stable(self, tmp_path):
+        # the fixed front end as every quad.db stores it, so older files keep loading
+        db = QuadDB()
+        db.add_track("t", synth_track(3.0, seed=50))
+        db.save(tmp_path / "a.quad")
+        _, meta = container.read(tmp_path / "a.quad", QUAD_KIND)
+        assert json.dumps(meta["spectrogram"], sort_keys=True) == (
+            '{"fmax": 4000.0, "fmin": 300.0, "hop": 256, "n_fft": 1024, '
+            '"n_mels": 256, "sample_rate": 8000}'
+        )
 
     def test_corrupt_files_rejected(self, tmp_path):
         db = QuadDB()
