@@ -21,7 +21,7 @@ from .errors import ConfigError, ContractError, DataError, DecodeError
 from .evaluate import EvalConfig, cut_query, run_sweep
 from .index import FingerprintDB, IVFPQIndex, sequence_match
 from .quadfp import HASH_EPSILON, QuadDB, box_matches
-from .signal.audio import SEGMENT_HOP_SECONDS, AudioClip, load_audio, stretch_audio
+from .signal.audio import DEFAULT_SAMPLE_RATE, SEGMENT_HOP_SECONDS, load_audio
 from .signal.peaks import PeakEntry, clip_clouds, extract_peaks, write_peaks
 from .training import SegmentDataset, TrainConfig, ntxent_loss, train
 
@@ -47,7 +47,7 @@ def _wav_paths(audio_dir: str) -> list[Path]:
 
 
 def _load_tracks(audio_dir: str) -> list[tuple[str, np.ndarray]]:
-    return [(p.stem, load_audio(p).samples) for p in _wav_paths(audio_dir)]
+    return [(p.stem, load_audio(p)) for p in _wav_paths(audio_dir)]
 
 
 def _read_json(path: str) -> dict:
@@ -57,12 +57,6 @@ def _read_json(path: str) -> dict:
         raise DataError(f"no such config file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _cut(clip: AudioClip, offset_s: float, length_s: float | None, factor: float) -> np.ndarray:
-    if length_s is None:
-        return stretch_audio(clip, factor).samples
-    return cut_query(clip.samples, clip.sample_rate, offset_s, length_s, factor)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -147,7 +141,7 @@ def cmd_build_index(args) -> int:
 def cmd_query(args) -> int:
     db = FingerprintDB.load(args.db)
     model = PeakEncoder.from_checkpoint(args.model)
-    samples = _cut(load_audio(args.audio), args.offset, args.len, args.factor)
+    samples = cut_query(load_audio(args.audio), DEFAULT_SAMPLE_RATE, args.offset, args.len, args.factor)
     emb = model.fingerprints(clip_clouds(samples))
     backend = IVFPQIndex.from_meta(db) if args.ivfpq else None
     matches = sequence_match(db, emb, k=args.k, backend=backend)
@@ -191,7 +185,7 @@ def cmd_evaluate(args) -> int:
 def cmd_quadfp_build(args) -> int:
     db = QuadDB()
     for path in _wav_paths(args.audio):
-        db.add_track(path.stem, load_audio(path).samples)
+        db.add_track(path.stem, load_audio(path))
     db.save(args.out)
     print(f"stored {db.n_quads} quads for {len(db.track_ids)} tracks in {args.out}")
     return 0
@@ -199,7 +193,7 @@ def cmd_quadfp_build(args) -> int:
 
 def cmd_quadfp_query(args) -> int:
     db = QuadDB.load(args.db)
-    samples = _cut(load_audio(args.audio), args.offset, args.len, args.factor)
+    samples = cut_query(load_audio(args.audio), DEFAULT_SAMPLE_RATE, args.offset, args.len, args.factor)
     matches = db.match(samples)
     if not matches:
         print("no match")
@@ -324,7 +318,7 @@ def build_parser() -> _Parser:
     s.add_argument("--db", required=True)
     s.add_argument("--model", required=True)
     s.add_argument("--audio", required=True)
-    s.add_argument("--len", type=float, help="excerpt length in seconds")
+    s.add_argument("--len", type=float, help="excerpt length in seconds (default: to the end)")
     s.add_argument("--offset", type=float, default=0.0)
     s.add_argument("--factor", type=float, default=1.0, help="tempo factor to apply")
     s.add_argument("-k", type=int, default=20)

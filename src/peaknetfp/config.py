@@ -6,9 +6,12 @@ reaches every file that stores it with no second list to edit:
 
 - ``to_dict`` turns nested configs into dicts and tuples into lists;
 - ``from_dict`` rebuilds nested configs and ``tuple[X, ...]`` fields from the
-  fields' type hints, and passes every other value as stored to the config's
-  own checks. A key that is not a field, a missing field without a default,
-  and a value the config rejects all raise :class:`ConfigError`.
+  fields' type hints, checks every scalar and tuple item against its hint,
+  and passes the values as stored to the config's own checks. An ``int``
+  takes no bool or float, a ``float`` takes an int but no bool, and ``None``
+  fits only a hint that names it. A key that is not a field, a value of the
+  wrong type, a missing field without a default, and a value the config
+  rejects all raise :class:`ConfigError`.
 """
 from __future__ import annotations
 
@@ -26,14 +29,18 @@ def _to_json(value):
     return value
 
 
-def _from_json(hint, value):
+def _from_json(hint, value, name: str):
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"expected a list, got {value!r}")
+            raise ConfigError(f"{name} expects a list, got {value!r}")
         item = typing.get_args(hint)[0]
-        return tuple(_from_json(item, v) for v in value)
+        return tuple(_from_json(item, v, name) for v in value)
     if isinstance(hint, type) and issubclass(hint, JsonConfig):
         return hint.from_dict(value)
+    # exact types, so a bool is no int; `int | None` lists both
+    allowed = typing.get_args(hint) or (hint,)
+    if type(value) not in allowed and not (float in allowed and type(value) is int):
+        raise ConfigError(f"{name} expects {getattr(hint, '__name__', hint)}, got {value!r}")
     return value
 
 
@@ -52,7 +59,7 @@ class JsonConfig:
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ConfigError(f"{name} has no field {unknown[0]!r}")
-        values = {key: _from_json(hints[key], value) for key, value in d.items()}
+        values = {key: _from_json(hints[key], v, f"{name}.{key}") for key, v in d.items()}
         try:
             return cls(**values)
         except (TypeError, ValueError) as exc:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal.audio import DEFAULT_SAMPLE_RATE, AudioClip, write_wav
+from .signal.audio import DEFAULT_SAMPLE_RATE, write_wav
 
 TRACK_SECONDS = 30.0
 N_TRACKS = 50
@@ -120,6 +120,6 @@ def write_corpus(
     paths = []
     for name, samples in make_corpus(n_tracks, seconds, seed):
         path = out / f"{name}.wav"
-        write_wav(path, AudioClip(samples))
+        write_wav(path, samples)
         paths.append(path)
     return paths

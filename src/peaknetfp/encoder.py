@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import autodiff as ad
 from . import container
@@ -150,18 +151,6 @@ def sample_anchors(points: np.ndarray, n_anchors: int) -> np.ndarray:
     return np.lexsort((p[:, 1], p[:, 0], -p[:, 2]))[:n_anchors]
 
 
-def _squared_distances(anchors_xyz: np.ndarray, points: np.ndarray) -> np.ndarray:
-    a = np.asarray(anchors_xyz, dtype=np.float64)
-    p = np.asarray(points, dtype=np.float64)
-    # per-axis (A, N) planes, summed in axis order: t, f, a
-    diff = np.subtract.outer(a[:, 0], p[:, 0])
-    d2 = diff * diff
-    for axis in (1, 2):
-        diff = np.subtract.outer(a[:, axis], p[:, axis])
-        d2 += diff * diff
-    return d2
-
-
 def query_ball_groups(
     anchor_indices: np.ndarray,
     points: np.ndarray,
@@ -174,8 +163,9 @@ def query_ball_groups(
     in-radius count.
     """
     idx = np.asarray(anchor_indices, dtype=np.int64)
-    pts = np.asarray(points)
-    d2 = _squared_distances(pts[idx], pts)
+    pts = np.asarray(points, dtype=np.float64)
+    # summed in axis order t, f, a, as the loop oracles do
+    d2 = cdist(pts[idx], pts, "sqeuclidean")
     # smallest_k ranks a NaN distance as +inf, and it is never in radius
     k = min(max(g for _, g in branches), d2.shape[1])
     order, od2 = smallest_k(d2, k)
@@ -381,6 +371,8 @@ class PeakEncoder:
         for key, now in self.state()[0].items():
             if key not in arrays or arrays[key].shape != now.shape:
                 raise DecodeError(f"checkpoint has no {key!r} of shape {now.shape}")
+            if not np.isfinite(arrays[key]).all():
+                raise DecodeError(f"checkpoint {key!r} holds non-finite values")
         for name, p in self.params.items():
             p.data = arrays[f"p/{name}"].astype(self.dtype)
         for name in self.running:

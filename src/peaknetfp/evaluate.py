@@ -28,7 +28,7 @@ from .encoder import PeakEncoder
 from .errors import ConfigError, DataError
 from .index import FingerprintDB, IVFPQIndex, sequence_match
 from .quadfp import QuadDB
-from .signal.audio import DEFAULT_SAMPLE_RATE, SEGMENT_HOP_SECONDS, AudioClip, stretch_audio
+from .signal.audio import DEFAULT_SAMPLE_RATE, SEGMENT_HOP_SECONDS, stretch_audio
 from .signal.peaks import clip_clouds
 
 DEFAULT_FACTORS = (
@@ -79,21 +79,37 @@ def hr_at_1(predicted: list, truths: list) -> float:
 
 
 def cut_query(
-    samples: np.ndarray, sample_rate: int, start_s: float, length_s: float, factor: float
+    samples: np.ndarray,
+    sample_rate: int,
+    start_s: float,
+    length_s: float | None,
+    factor: float,
 ) -> np.ndarray:
     """Excerpt of source length ``length_s * factor``, played at ``factor`` x tempo.
 
-    The result has exactly ``round(length_s * sample_rate)`` samples: rounding
-    the source window and the stretch can leave the stretched excerpt a sample
-    long or short, so it is trimmed or zero-padded at the end.
+    ``samples`` are at ``sample_rate``, which must be ``DEFAULT_SAMPLE_RATE``.
+    The result has exactly ``round(length_s * DEFAULT_SAMPLE_RATE)`` samples:
+    rounding the source window and the stretch can leave the stretched
+    excerpt a sample long or short, so it is trimmed or zero-padded at the
+    end. With ``length_s`` None the excerpt runs from ``start_s`` to the end
+    of the samples and is the whole stretched remainder.
     """
-    start = int(round(start_s * sample_rate))
-    need = int(round(length_s * factor * sample_rate))
-    if start < 0 or start + need > samples.size:
-        raise DataError("query window exceeds the track")
-    size = int(round(length_s * sample_rate))
-    piece = AudioClip(samples[start : start + need], sample_rate)
-    out = stretch_audio(piece, factor).samples[:size]
+    if sample_rate != DEFAULT_SAMPLE_RATE:
+        raise DataError(f"samples at {sample_rate} Hz, not {DEFAULT_SAMPLE_RATE} Hz")
+    if not np.isfinite((start_s, length_s or 0.0, factor)).all():
+        raise DataError("query offset, length and factor must be finite")
+    start = int(round(start_s * DEFAULT_SAMPLE_RATE))
+    if length_s is None:
+        stop = samples.size
+    else:
+        stop = start + int(round(length_s * factor * DEFAULT_SAMPLE_RATE))
+    if not 0 <= start < stop <= samples.size:
+        raise DataError("query window is empty or exceeds the track")
+    out = stretch_audio(samples[start:stop], factor)
+    if length_s is None:
+        return out
+    size = int(round(length_s * DEFAULT_SAMPLE_RATE))
+    out = out[:size]
     return np.pad(out, (0, size - out.size))
 
 

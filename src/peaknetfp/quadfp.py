@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import KDTree
 
 from . import container
-from .errors import ConfigError, DataError, DecodeError
+from .errors import DataError, DecodeError
 from .signal.audio import DEFAULT_SAMPLE_RATE
 from .signal.peaks import local_maxima
 from .signal.spectral import FMAX, FMIN, FRAMES_PER_SECOND, HOP, N_FFT, N_MELS, melspectrogram
@@ -74,10 +74,9 @@ def parabolic_refine(
     return t, f
 
 
-def spectrogram_peaks(
-    spec: np.ndarray, fps: float, per_second: int = PEAKS_PER_SECOND
-) -> np.ndarray:
-    """Strongest local maxima per one-second bucket, as (frame, bin, amp) rows.
+def spectrogram_peaks(spec: np.ndarray) -> np.ndarray:
+    """The ``PEAKS_PER_SECOND`` strongest local maxima per one-second bucket,
+    as (frame, bin, amp) rows.
 
     Within a bucket peaks rank by amplitude (ties: earlier frame, lower bin).
     """
@@ -88,10 +87,10 @@ def spectrogram_peaks(
     rows, cols, values = rows[order], cols[order], values[order]
     t, f = parabolic_refine(spec, rows, cols)
     # by second, amplitude order kept within each; a peak's rank is its place in its second
-    seconds = (t / fps).astype(np.int64)
+    seconds = (t / FRAMES_PER_SECOND).astype(np.int64)
     by_sec = np.argsort(seconds, kind="stable")
     sec = seconds[by_sec]
-    keep = by_sec[np.arange(sec.size) - np.searchsorted(sec, sec) < per_second]
+    keep = by_sec[np.arange(sec.size) - np.searchsorted(sec, sec) < PEAKS_PER_SECOND]
     out = np.stack([t[keep], f[keep], values[keep].astype(np.float64)], axis=1)
     return out[np.lexsort((out[:, 1], out[:, 0]))]  # by (time, freq)
 
@@ -107,7 +106,7 @@ def quad_hash(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.
     return np.array([cx, cy, dx, dy], dtype=np.float64)
 
 
-def enumerate_quads(peaks: np.ndarray, fps: float, per_second: int) -> dict[str, np.ndarray]:
+def enumerate_quads(peaks: np.ndarray, per_second: int) -> dict[str, np.ndarray]:
     """Emit up to ``per_second`` quads per second of material.
 
     Roots are visited round-robin across one-second buckets: every bucket's
@@ -119,6 +118,7 @@ def enumerate_quads(peaks: np.ndarray, fps: float, per_second: int) -> dict[str,
     root yields at most MAX_QUADS_PER_ROOT quads.
     """
     t, f, amp = peaks[:, 0], peaks[:, 1], peaks[:, 2]
+    fps = FRAMES_PER_SECOND
     target = int(round(per_second * ((t.max() + 1) / fps))) if t.size else 0
 
     def root_quads(ai: int) -> list[tuple[np.ndarray, float, float]]:
@@ -181,10 +181,7 @@ class QuadMatch:
 class QuadDB:
     """Reference-side quad store with a KD-tree over hash space."""
 
-    def __init__(self, epsilon: float = HASH_EPSILON, meta: dict | None = None):
-        if epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        self.epsilon = float(epsilon)
+    def __init__(self, meta: dict | None = None):
         self.meta = dict(meta or {})
         # track id -> {"hash", "t0", "dt"} arrays, in insertion order
         self._quads: dict[str, dict[str, np.ndarray]] = {}
@@ -202,8 +199,7 @@ class QuadDB:
         if track_id in self._quads:
             raise DataError(f"duplicate track id {track_id!r}")
         spec = melspectrogram(np.asarray(samples, dtype=np.float32))
-        peaks = spectrogram_peaks(spec, FRAMES_PER_SECOND)
-        quads = enumerate_quads(peaks, FRAMES_PER_SECOND, REF_QUADS_PER_SECOND)
+        quads = enumerate_quads(spectrogram_peaks(spec), REF_QUADS_PER_SECOND)
         self.add_track_quads(track_id, quads)
 
     def add_track_quads(self, track_id: str, quads: dict[str, np.ndarray]) -> None:
@@ -243,18 +239,17 @@ class QuadDB:
         return self._index
 
     def candidates(self, query_hash: np.ndarray) -> np.ndarray:
-        """Quad ids within +-epsilon of the query hash, ascending: the rows
+        """Quad ids within +-HASH_EPSILON of the query hash, ascending: the rows
         ``box_matches`` returns, found by a KD-tree query in the max norm."""
         if not np.isfinite(query_hash).all():
             raise DataError("query hash must be finite")
         tree = self._layout()["tree"]
-        found = tree.query_ball_point(query_hash, self.epsilon, p=np.inf, return_sorted=True)
+        found = tree.query_ball_point(query_hash, HASH_EPSILON, p=np.inf, return_sorted=True)
         return np.asarray(found, dtype=np.int64)
 
     def query_quads(self, samples: np.ndarray) -> dict[str, np.ndarray]:
         spec = melspectrogram(np.asarray(samples, dtype=np.float32))
-        peaks = spectrogram_peaks(spec, FRAMES_PER_SECOND)
-        return enumerate_quads(peaks, FRAMES_PER_SECOND, QUERY_QUADS_PER_SECOND)
+        return enumerate_quads(spectrogram_peaks(spec), QUERY_QUADS_PER_SECOND)
 
     def match(self, samples: np.ndarray) -> list[QuadMatch]:
         """Rank tracks for a (possibly tempo-modified) audio excerpt."""
@@ -291,7 +286,7 @@ class QuadDB:
         if not self._quads:
             raise DataError("empty quad database")
         tracks = [[tid, len(q["hash"])] for tid, q in self._quads.items()]
-        meta = {"info": self.meta, "epsilon": self.epsilon, "tracks": tracks}
+        meta = {"info": self.meta, "epsilon": HASH_EPSILON, "tracks": tracks}
         meta["spectrogram"] = SPECTROGRAM
         container.write(path, QUAD_KIND, self._arrays(), meta)
 
@@ -305,12 +300,14 @@ class QuadDB:
                 raise DataError("quad arrays disagree in length")
             if meta["spectrogram"] != SPECTROGRAM:
                 raise DataError(f"front end {meta['spectrogram']!r} is not {SPECTROGRAM!r}")
-            db = cls(epsilon=meta["epsilon"], meta=meta["info"])
+            if meta["epsilon"] != HASH_EPSILON:
+                raise DataError(f"hash epsilon {meta['epsilon']!r} is not {HASH_EPSILON!r}")
+            db = cls(meta=meta["info"])
             start = 0
             for tid, n in container.track_runs(meta, total):
                 sl = slice(start, start + n)
                 db.add_track_quads(tid, {"hash": hashes[sl], "t0": t0[sl], "dt": dt[sl]})
                 start += n
-        except (LookupError, TypeError, ValueError, DataError, ConfigError) as exc:
+        except (LookupError, TypeError, ValueError, DataError) as exc:
             raise DecodeError(f"{path}: inconsistent quad database: {exc}") from exc
         return db

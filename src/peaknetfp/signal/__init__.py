@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from .audio import (
     DEFAULT_SAMPLE_RATE,
-    AudioClip,
     load_audio,
     segment_clip,
     stretch_audio,
@@ -27,7 +26,6 @@ from .spectral import (
 
 __all__ = [
     "DEFAULT_SAMPLE_RATE",
-    "AudioClip",
     "PeakEntry",
     "clip_clouds",
     "extract_peaks",

@@ -1,17 +1,19 @@
 """Audio loading, mono resampling to 8 kHz, segmentation, and time
 stretching.
 
+Audio is a plain 1-D float32 array at ``DEFAULT_SAMPLE_RATE``: ``load_audio``
+resamples every file to it, and every other function here takes and returns
+samples at that rate.
+
 The stretcher is a WSOLA (waveform similarity overlap-add) implementation:
 it changes tempo while preserving pitch, which is exactly the distortion the
-retrieval systems here are meant to survive. It takes and returns an
-:class:`AudioClip`, whose rate sizes its window. ``factor`` multiplies tempo,
-so the output has ``round(n / factor)`` samples.
+retrieval systems here are meant to survive. ``factor`` multiplies tempo, so
+the output has ``round(n / factor)`` samples.
 """
 from __future__ import annotations
 
 import logging
 import wave
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,28 +25,15 @@ log = logging.getLogger(__name__)
 
 DEFAULT_SAMPLE_RATE = 8000
 
-# WSOLA geometry, in seconds.
-_STRETCH_WINDOW_S = 0.040
-_STRETCH_TOLERANCE_S = 0.010
+# WSOLA geometry at DEFAULT_SAMPLE_RATE: a 40 ms window (an even sample
+# count) searched +-10 ms around its natural position.
+_STRETCH_WINDOW = DEFAULT_SAMPLE_RATE // 25
+_STRETCH_TOLERANCE = DEFAULT_SAMPLE_RATE // 100
 
-SEGMENT_SECONDS = 1.0
-SEGMENT_HOP_SECONDS = 0.5
-
-
-@dataclass(frozen=True)
-class AudioClip:
-    """Mono float32 samples plus their rate."""
-
-    samples: np.ndarray
-    sample_rate: int = DEFAULT_SAMPLE_RATE
-
-    def __post_init__(self) -> None:
-        if self.samples.ndim != 1:
-            raise ShapeError(f"clip must be 1-D, got shape {self.samples.shape}")
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
+# one-second segments every half second
+SEGMENT_SAMPLES = DEFAULT_SAMPLE_RATE
+SEGMENT_HOP = DEFAULT_SAMPLE_RATE // 2
+SEGMENT_HOP_SECONDS = SEGMENT_HOP / DEFAULT_SAMPLE_RATE
 
 
 def _to_float(raw: bytes, sampwidth: int) -> np.ndarray:
@@ -58,7 +47,14 @@ def _to_float(raw: bytes, sampwidth: int) -> np.ndarray:
     raise DataError(f"unsupported WAV sample width: {sampwidth} bytes")
 
 
-def load_audio(path: str | Path) -> AudioClip:
+def _samples(samples: np.ndarray) -> np.ndarray:
+    x = np.asarray(samples, dtype=np.float32)
+    if x.ndim != 1:
+        raise ShapeError(f"samples must be 1-D, got shape {x.shape}")
+    return x
+
+
+def load_audio(path: str | Path) -> np.ndarray:
     """Read a PCM WAV file, mix to mono, and resample to ``DEFAULT_SAMPLE_RATE``."""
     path = Path(path)
     try:
@@ -76,69 +72,58 @@ def load_audio(path: str | Path) -> AudioClip:
     if rate != DEFAULT_SAMPLE_RATE:
         g = np.gcd(rate, DEFAULT_SAMPLE_RATE)
         x = resample_poly(x.astype(np.float64), DEFAULT_SAMPLE_RATE // g, rate // g)
-    return AudioClip(np.ascontiguousarray(x, dtype=np.float32))
+    return np.ascontiguousarray(x, dtype=np.float32)
 
 
-def write_wav(path: str | Path, clip: AudioClip) -> None:
-    """Write a clip as 16-bit PCM WAV."""
-    pcm = np.clip(np.round(clip.samples * 32767.0), -32768, 32767).astype("<i2")
+def write_wav(path: str | Path, samples: np.ndarray) -> None:
+    """Write samples as 16-bit PCM WAV at ``DEFAULT_SAMPLE_RATE``."""
+    pcm = np.clip(np.round(_samples(samples) * 32767.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(clip.sample_rate)
+        wf.setframerate(DEFAULT_SAMPLE_RATE)
         wf.writeframes(pcm.tobytes())
 
 
-def segment_clip(clip: AudioClip) -> np.ndarray:
-    """Cut a clip into full ``SEGMENT_SECONDS`` windows every
-    ``SEGMENT_HOP_SECONDS``, so consecutive windows half overlap.
+def segment_clip(samples: np.ndarray) -> np.ndarray:
+    """Cut samples into full ``SEGMENT_SAMPLES`` windows every
+    ``SEGMENT_HOP`` samples, so consecutive windows half overlap.
 
-    Returns an array of shape (n_segments, window_samples). Only windows that
-    fit entirely inside the clip are produced; a clip shorter than one window
-    is an error.
+    Returns a read-only view of shape (n_segments, SEGMENT_SAMPLES). Only
+    windows that fit entirely inside the samples are produced; fewer samples
+    than one window is an error.
     """
-    x, sample_rate = clip.samples, clip.sample_rate
-    win = int(round(SEGMENT_SECONDS * sample_rate))
-    hop = int(round(SEGMENT_HOP_SECONDS * sample_rate))
-    if x.size < win:
+    x = _samples(samples)
+    if x.size < SEGMENT_SAMPLES:
         raise DataError(
-            f"clip too short to segment: {x.size} samples < window {win}"
+            f"clip too short to segment: {x.size} samples < window {SEGMENT_SAMPLES}"
         )
-    n_seg = (x.size - win) // hop + 1
-    starts = np.arange(n_seg) * hop
-    return np.stack([x[s : s + win] for s in starts])
+    return np.lib.stride_tricks.sliding_window_view(x, SEGMENT_SAMPLES)[::SEGMENT_HOP]
 
 
 def _hann_periodic(n: int) -> np.ndarray:
     return np.hanning(n + 1)[:-1].astype(np.float64)
 
 
-def stretch_audio(clip: AudioClip, factor: float) -> AudioClip:
+def stretch_audio(samples: np.ndarray, factor: float) -> np.ndarray:
     """Time-stretch by ``factor`` (tempo multiplier) with pitch preserved.
 
-    factor > 1 speeds the clip up (shorter output), factor < 1 slows it down.
-    ``factor == 1`` returns an identical copy. Output length is exactly
-    ``round(n / factor)`` samples, at the clip's rate; the WSOLA window is
-    sized in seconds at that rate.
+    factor > 1 speeds the samples up (shorter output), factor < 1 slows them
+    down. ``factor == 1`` returns an identical copy. Output length is exactly
+    ``round(n / factor)`` samples.
     """
-    return AudioClip(_wsola(clip.samples, factor, clip.sample_rate), clip.sample_rate)
-
-
-def _wsola(samples: np.ndarray, factor: float, sr: int) -> np.ndarray:
     if not np.isfinite(factor) or factor <= 0:
         raise ConfigError(f"stretch factor must be positive, got {factor!r}")
-    x = np.asarray(samples, dtype=np.float32)
+    x = _samples(samples)
     if factor == 1.0:
         return x.copy()
     out_len = int(round(x.size / factor))
-    window = int(round(_STRETCH_WINDOW_S * sr))
-    window += window % 2
+    window = _STRETCH_WINDOW
     if x.size < 2 * window or out_len < 2 * window:
         # Too short for overlap-add; plain linear time-map is the fallback.
         t = np.linspace(0.0, x.size - 1, max(out_len, 1))
         return np.interp(t, np.arange(x.size), x).astype(np.float32)
     hop = window // 2
-    tol = int(round(_STRETCH_TOLERANCE_S * sr))
     win = _hann_periodic(window)
     xs = x.astype(np.float64)
 
@@ -157,8 +142,8 @@ def _wsola(samples: np.ndarray, factor: float, sr: int) -> np.ndarray:
             # The segment that would seamlessly continue the last one.
             ref_start = min(pos + hop, x.size - window)
             ref = xs[ref_start : ref_start + window]
-            lo = max(natural - tol, 0)
-            hi = min(natural + tol, x.size - window)
+            lo = max(natural - _STRETCH_TOLERANCE, 0)
+            hi = min(natural + _STRETCH_TOLERANCE, x.size - window)
             if hi > lo:
                 region = xs[lo : hi + window]
                 corr = np.correlate(region, ref, mode="valid")

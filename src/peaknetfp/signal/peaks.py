@@ -23,7 +23,7 @@ from scipy.ndimage import maximum_filter
 
 from .. import container
 from ..errors import DataError, DecodeError, ShapeError
-from .audio import DEFAULT_SAMPLE_RATE, AudioClip, segment_clip
+from .audio import segment_clip
 from .spectral import melspectrogram
 
 log = logging.getLogger(__name__)
@@ -89,20 +89,10 @@ def extract_peaks(
     return cloud
 
 
-def clip_clouds(clip: AudioClip | np.ndarray) -> np.ndarray:
-    """All segment peak clouds of a clip, shape (n_segments, CLOUD_SIZE, 3).
-
-    A bare array is taken to be at ``DEFAULT_SAMPLE_RATE``; a clip at any
-    other rate is refused.
-    """
-    if not isinstance(clip, AudioClip):
-        clip = AudioClip(np.asarray(clip))
-    if clip.sample_rate != DEFAULT_SAMPLE_RATE:
-        raise DataError(
-            f"clip is at {clip.sample_rate} Hz, the front end at {DEFAULT_SAMPLE_RATE} Hz"
-        )
-    windows = segment_clip(clip)
-    return np.stack([extract_peaks(melspectrogram(w)) for w in windows])
+def clip_clouds(samples: np.ndarray) -> np.ndarray:
+    """All segment peak clouds of 1-D samples at ``DEFAULT_SAMPLE_RATE``,
+    shape (n_segments, CLOUD_SIZE, 3)."""
+    return np.stack([extract_peaks(melspectrogram(w)) for w in segment_clip(samples)])
 
 
 @dataclass(frozen=True)

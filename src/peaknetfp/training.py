@@ -28,7 +28,7 @@ from . import container
 from .config import JsonConfig
 from .encoder import CHECKPOINT, PeakEncoder
 from .errors import ConfigError, ContractError, DataError, DecodeError, TrainingDiverged
-from .signal.audio import DEFAULT_SAMPLE_RATE, SEGMENT_HOP_SECONDS, SEGMENT_SECONDS, AudioClip
+from .signal.audio import DEFAULT_SAMPLE_RATE, SEGMENT_HOP, SEGMENT_SAMPLES
 from .signal.peaks import CLOUD_SIZE, clip_clouds, extract_peaks
 from .signal.spectral import HOP, fit_frames, melspectrogram, stretch_spectrogram
 
@@ -66,34 +66,27 @@ class TrainConfig(JsonConfig):
 class SegmentDataset:
     """Per-segment peak clouds of a track collection, plus stretch replicas.
 
-    Originals come from ``clip_clouds``, the front end queries go through.
-    Bare sample arrays are taken to be at ``DEFAULT_SAMPLE_RATE``; a clip at
-    another rate is refused. Replicas are fitted to the frame count of an
-    original segment, ``1 + window // HOP``.
+    Originals come from ``clip_clouds``, the front end queries go through,
+    and tracks are samples at ``DEFAULT_SAMPLE_RATE``. Replicas are fitted
+    to the frame count of an original segment, ``1 + SEGMENT_SAMPLES // HOP``.
     """
 
-    def __init__(self, tracks: list[tuple[str, np.ndarray | AudioClip]]):
+    def __init__(self, tracks: list[tuple[str, np.ndarray]]):
         if not tracks:
             raise DataError("empty track collection")
         self._samples: list[np.ndarray] = []
         self.track_ids: list[str] = []
         rows: list[tuple[int, int]] = []  # (track_idx, start)
         clouds: list[np.ndarray] = []
-        win = int(round(SEGMENT_SECONDS * DEFAULT_SAMPLE_RATE))
-        hop = int(round(SEGMENT_HOP_SECONDS * DEFAULT_SAMPLE_RATE))
-        for ti, (track_id, audio) in enumerate(tracks):
-            if not isinstance(audio, AudioClip):
-                audio = AudioClip(np.asarray(audio))
-            x = audio.samples.astype(np.float32, copy=False)
-            if x.size < win:
+        for ti, (track_id, samples) in enumerate(tracks):
+            x = np.asarray(samples, dtype=np.float32)
+            if x.size < SEGMENT_SAMPLES:
                 raise DataError(f"track {track_id!r} is shorter than one segment")
-            clouds.append(clip_clouds(AudioClip(x, audio.sample_rate)))
+            clouds.append(clip_clouds(x))
             self.track_ids.append(track_id)
             self._samples.append(x)
-            rows.extend((ti, si * hop) for si in range(len(clouds[-1])))
+            rows.extend((ti, si * SEGMENT_HOP) for si in range(len(clouds[-1])))
         self._rows = rows
-        self._win = win
-        self._frames = 1 + win // HOP
         log.info("dataset: %d tracks, %d segments", len(tracks), len(rows))
         self.originals = np.concatenate(clouds)
 
@@ -116,13 +109,13 @@ class SegmentDataset:
     def replica_cloud(self, index: int, factor: float) -> np.ndarray:
         """Same content as segment ``index`` played at ``factor`` x tempo."""
         ti, start = self._rows[index]
-        need = int(round(self._win * factor))
+        need = int(round(SEGMENT_SAMPLES * factor))
         if start + need > self._samples[ti].size:
             raise DataError(
                 f"segment {index} cannot host a x{factor:.3f} replica window"
             )
         spec = melspectrogram(self._samples[ti][start : start + need])
-        spec = fit_frames(stretch_spectrogram(spec, factor), self._frames)
+        spec = fit_frames(stretch_spectrogram(spec, factor), 1 + SEGMENT_SAMPLES // HOP)
         return extract_peaks(spec)
 
 
@@ -220,6 +213,8 @@ def _restore_opt(
         for moments, key in ((opt.m, f"opt.m/{name}"), (opt.v, f"opt.v/{name}")):
             if key not in arrays or arrays[key].shape != p.data.shape:
                 raise DecodeError(f"checkpoint has no optimizer state {key!r}")
+            if not np.isfinite(arrays[key]).all():
+                raise DecodeError(f"checkpoint optimizer state {key!r} holds non-finite values")
             moments[name] = arrays[key].astype(model.dtype)
     return opt, epochs_done
 

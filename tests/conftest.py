@@ -84,7 +84,7 @@ def eval_rig(tmp_path_factory):
     root = tmp_path_factory.mktemp("rig")
     wav_dir = root / "wavs"
     paths = write_corpus(wav_dir, n_tracks=4, seconds=12.0, seed=11)
-    tracks = [(p.stem, load_audio(p).samples) for p in paths]
+    tracks = [(p.stem, load_audio(p)) for p in paths]
 
     model_path = root / "model.ckpt"
     result = train(

@@ -7,12 +7,12 @@ import shutil
 import numpy as np
 import pytest
 
-from peaknetfp import cli
-from peaknetfp import reference as ref
-from peaknetfp.cli import _cut, main
-from peaknetfp.encoder import DEFAULT_CONFIG, EncoderConfig, checkpoint_id
+from peaknetfp import cli, container
+from peaknetfp.cli import main
+from peaknetfp.encoder import CHECKPOINT, DEFAULT_CONFIG, EncoderConfig, checkpoint_id
 from peaknetfp.index import FingerprintDB
-from peaknetfp.signal.audio import AudioClip
+from peaknetfp.quadfp import QUAD_KIND, QuadDB
+from peaknetfp.signal.audio import load_audio, stretch_audio
 from peaknetfp.signal.peaks import read_peaks
 from peaknetfp.training import TrainConfig, TrainResult
 
@@ -115,13 +115,93 @@ class TestExitCodes:
 
 
 class TestCut:
-    @pytest.mark.parametrize("length_s, want", [(2.0, 32000), (None, 64000)])
-    def test_excerpt_at_the_clip_rate(self, length_s, want):
-        t = np.arange(5 * 16000) / 16000
-        clip = AudioClip(np.sin(2.0 * np.pi * 50.0 * t).astype(np.float32), 16000)
-        out = _cut(clip, 0.5, length_s, 1.25)
-        assert out.size == want
-        assert abs(ref.dominant_frequency_hz(out, 16000) - 50.0) <= 16000 / out.size
+    @pytest.mark.parametrize("command", ["query", "quadfp"])
+    @pytest.mark.parametrize("offset, length", [(0.0, None), (1.5, None), (1.5, 2.0)])
+    def test_matched_excerpt(self, eval_rig, monkeypatch, command, offset, length):
+        # the samples each command hands to its matcher: --offset is honoured
+        # with or without --len, and without it the excerpt runs to the end
+        seen = []
+        real_clouds, real_match = cli.clip_clouds, QuadDB.match
+        monkeypatch.setattr(cli, "clip_clouds", lambda x: seen.append(x) or real_clouds(x))
+        monkeypatch.setattr(QuadDB, "match", lambda db, x: seen.append(x) or real_match(db, x))
+        wav = eval_rig.wav_dir / "track001.wav"
+        if command == "query":
+            argv = ["query", "--db", str(eval_rig.db_path), "--model", str(eval_rig.model_path)]
+        else:
+            argv = ["quadfp", "query", "--db", str(eval_rig.quad_path)]
+        argv += ["--audio", str(wav), "--offset", str(offset), "--factor", "1.25"]
+        if length is not None:
+            argv += ["--len", str(length)]
+        assert main(argv) == 0
+        samples = load_audio(wav)
+        start = int(offset * 8000)
+        stop = samples.size if length is None else start + int(length * 1.25 * 8000)
+        want = stretch_audio(samples[start:stop], 1.25)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], want)
+        if length is not None:
+            assert want.size == length * 8000
+
+
+def _quad_query(rig, tmp_path, extra, db=None):
+    db = db or rig.quad_path
+    return ["quadfp", "query", "--db", str(db), "--audio", str(rig.wav_dir / "track000.wav"), *extra]
+
+
+def _quad_db_with_epsilon(rig, tmp_path, epsilon):
+    arrays, meta = container.read(rig.quad_path, QUAD_KIND)
+    meta["epsilon"] = epsilon
+    path = tmp_path / "bad.quad"
+    container.write(path, QUAD_KIND, arrays, meta)  # a valid container
+    return _quad_query(rig, tmp_path, [], db=path)
+
+
+def _checkpoint_with_nan(rig, tmp_path, key):
+    arrays, meta = container.read(rig.model_path, CHECKPOINT)
+    arrays[key] = arrays[key].copy()
+    arrays[key].flat[0] = np.nan
+    path = tmp_path / "bad.ckpt"
+    container.write(path, CHECKPOINT, arrays, meta)  # a valid container
+    if key.startswith("opt."):
+        return ["train", "--audio", str(rig.wav_dir), "--resume", str(path),
+                "-o", str(tmp_path / "out.ckpt")]
+    return ["build-db", "--model", str(path), "--audio", str(rig.wav_dir),
+            "-o", str(tmp_path / "fp.db")]
+
+
+def _config_with(rig, tmp_path, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    if "train" in raw:
+        return ["train", "--audio", str(rig.wav_dir), "-c", str(cfg),
+                "-o", str(tmp_path / "m.ckpt")]
+    return ["quadfp", "evaluate", "-c", str(cfg), "--audio", str(rig.wav_dir),
+            "--db", str(rig.quad_path), "-o", str(tmp_path / "r.jsonl")]
+
+
+BAD_INPUTS = {  # case -> (argv builder, bad value, text the error line names)
+    "epsilon-nan": (_quad_db_with_epsilon, float("nan"), "epsilon"),
+    "epsilon-true": (_quad_db_with_epsilon, True, "epsilon"),
+    "epsilon-1e9": (_quad_db_with_epsilon, 1e9, "epsilon"),
+    "nan-weight": (_checkpoint_with_nan, "p/g.l0.w", "non-finite"),
+    "nan-running-mean": (_checkpoint_with_nan, "r/g.l0.rmean", "non-finite"),
+    "nan-adam-moment": (_checkpoint_with_nan, "opt.v/g.l0.w", "non-finite"),
+    "int-given-2.5": (_config_with, {"n_queries": 2.5}, "n_queries"),
+    "int-given-string": (_config_with, {"n_queries": "3"}, "n_queries"),
+    "int-given-true": (_config_with, {"n_queries": True}, "n_queries"),
+    "train-int-given-2.5": (_config_with, {"train": {"pairs_per_batch": 2.5}}, "pairs_per_batch"),
+    "offset-nan": (_quad_query, ["--offset", "nan"], "finite"),
+    "len-inf": (_quad_query, ["--len", "inf"], "finite"),
+}
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_exits_2_with_an_error_line(self, eval_rig, tmp_path, capsys, case):
+        make_argv, value, names = BAD_INPUTS[case]
+        assert main(make_argv(eval_rig, tmp_path, value)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err
 
 
 class TestTrainConfigFile:

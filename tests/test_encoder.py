@@ -352,3 +352,9 @@ class TestCheckpointPersistence:
         arrays.pop("p/g.l0.w")
         with pytest.raises(DataError):
             model.load_state(arrays)
+        # a non-finite parameter or running statistic is refused the same way
+        for key in ("p/g.l0.w", "r/g.l0.rvar"):
+            arrays, _ = model.state()
+            arrays[key].flat[0] = np.nan
+            with pytest.raises(DecodeError, match="non-finite"):
+                model.load_state(arrays)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from peaknetfp import container
-from peaknetfp import reference as ref
 from peaknetfp.cli import main
 from peaknetfp.corpus import make_track
 from peaknetfp.errors import ConfigError, DataError, DecodeError
@@ -22,7 +21,7 @@ from peaknetfp.evaluate import (
     run_sweep,
 )
 from peaknetfp.quadfp import QUAD_KIND, QuadDB
-from peaknetfp.signal.audio import AudioClip, write_wav
+from peaknetfp.signal.audio import write_wav
 from peaknetfp.signal.peaks import CLOUD_SIZE, clip_clouds
 
 
@@ -110,12 +109,11 @@ class TestCutQuery:
         assert out.size == 8000
         assert clip_clouds(out).shape == (1, CLOUD_SIZE, 3)
 
-    def test_stretch_uses_the_given_rate(self):
-        t = np.arange(5 * 16000) / 16000
-        samples = np.sin(2.0 * np.pi * 50.0 * t).astype(np.float32)
-        out = cut_query(samples, 16000, 0.5, 2.0, 1.25)
-        assert out.size == 32000
-        assert abs(ref.dominant_frequency_hz(out, 16000) - 50.0) <= 16000 / out.size
+    def test_other_rate_rejected(self):
+        # the one front end reads 8 kHz
+        samples = np.zeros(5 * 16000, dtype=np.float32)
+        with pytest.raises(DataError, match="16000 Hz"):
+            cut_query(samples, 16000, 0.5, 2.0, 1.25)
 
     def test_window_past_the_end_rejected(self):
         samples = np.zeros(16000, dtype=np.float32)
@@ -219,7 +217,7 @@ class TestRunSweep:
         with pytest.raises(DecodeError, match="16000"):
             QuadDB.load(path)
         wav = tmp_path / "a.wav"
-        write_wav(wav, AudioClip(samples))
+        write_wav(wav, samples)
         args = ["quadfp", "query", "--db", str(path), "--audio", str(wav), "--len", "3"]
         assert main(args) == 2
 

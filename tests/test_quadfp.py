@@ -15,6 +15,7 @@ from peaknetfp.quadfp import (
     MAX_QUADS_PER_ROOT,
     MIN_DF_BINS,
     OFFSET_BIN_SECONDS,
+    PEAKS_PER_SECOND,
     QUAD_KIND,
     QUERY_QUADS_PER_SECOND,
     REF_QUADS_PER_SECOND,
@@ -29,7 +30,7 @@ from peaknetfp.quadfp import (
     quad_hash,
     spectrogram_peaks,
 )
-from peaknetfp.signal.audio import AudioClip, stretch_audio
+from peaknetfp.signal.audio import stretch_audio
 from peaknetfp.signal.spectral import FRAMES_PER_SECOND, melspectrogram, stretch_spectrogram
 
 
@@ -122,8 +123,8 @@ class TestSpectrogramPeaks:
     def test_matches_naive_bucket_selection(self):
         rng = np.random.default_rng(1)
         spec = rng.random((64, 200)).astype(np.float32)
-        fps = 31.25
-        got = spectrogram_peaks(spec, fps, per_second=10)
+        fps = FRAMES_PER_SECOND
+        got = spectrogram_peaks(spec)
         want = []
         by_sec = {}
         s64 = spec.astype(np.float64)
@@ -137,7 +138,7 @@ class TestSpectrogramPeaks:
                 fc += min(0.5, max(-0.5, 0.5 * (s64[r - 1, c] - s64[r + 1, c]) / den))
             by_sec.setdefault(int(tc / fps), []).append((-float(v), c, r, tc, fc))
         for sec in sorted(by_sec):
-            for negv, c, r, tc, fc in sorted(by_sec[sec])[:10]:
+            for negv, c, r, tc, fc in sorted(by_sec[sec])[:PEAKS_PER_SECOND]:
                 want.append((tc, fc, -negv))
         want = np.array(sorted(want, key=lambda p: (p[0], p[1])))
         np.testing.assert_allclose(got, want, rtol=0, atol=0)
@@ -145,25 +146,25 @@ class TestSpectrogramPeaks:
     def test_bucket_budget_respected(self):
         rng = np.random.default_rng(2)
         spec = rng.random((128, 400)).astype(np.float32)
-        peaks = spectrogram_peaks(spec, 31.25, per_second=7)
-        seconds = (peaks[:, 0] / 31.25).astype(int)
-        assert max(np.bincount(seconds)) <= 7
+        peaks = spectrogram_peaks(spec)
+        seconds = (peaks[:, 0] / FRAMES_PER_SECOND).astype(int)
+        assert max(np.bincount(seconds)) == PEAKS_PER_SECOND
 
     def test_empty_spectrogram(self):
-        assert spectrogram_peaks(np.zeros((16, 50), dtype=np.float32), 31.25).shape == (0, 3)
+        assert spectrogram_peaks(np.zeros((16, 50), dtype=np.float32)).shape == (0, 3)
 
 
 @pytest.fixture(scope="module")
 def peaks():
     spec = melspectrogram(synth_track(8.0, seed=3))
-    return spectrogram_peaks(spec, 31.25)
+    return spectrogram_peaks(spec)
 
 
 class TestEnumerateQuads:
 
     def test_deterministic_and_dense_enough(self, peaks):
-        a = enumerate_quads(peaks, 31.25, REF_QUADS_PER_SECOND)
-        b = enumerate_quads(peaks, 31.25, REF_QUADS_PER_SECOND)
+        a = enumerate_quads(peaks, REF_QUADS_PER_SECOND)
+        b = enumerate_quads(peaks, REF_QUADS_PER_SECOND)
         np.testing.assert_array_equal(a["hash"], b["hash"])
         np.testing.assert_array_equal(a["t0"], b["t0"])
         n = a["hash"].shape[0]
@@ -171,7 +172,7 @@ class TestEnumerateQuads:
         assert n <= REF_QUADS_PER_SECOND * 9
 
     def test_hash_geometry_constraints(self, peaks):
-        q = enumerate_quads(peaks, 31.25, REF_QUADS_PER_SECOND)
+        q = enumerate_quads(peaks, REF_QUADS_PER_SECOND)
         h = q["hash"]
         assert np.all(h > 0.0) and np.all(h < 1.0)  # strictly inside the box
         assert np.all(
@@ -182,13 +183,13 @@ class TestEnumerateQuads:
         assert np.all(q["dt"] >= 0.25 - 1e-9) and np.all(q["dt"] <= 2.0 + 1e-9)
 
     def test_empty_peaks(self):
-        out = enumerate_quads(np.zeros((0, 3)), 31.25, 25)
+        out = enumerate_quads(np.zeros((0, 3)), 25)
         assert out["hash"].shape == (0, 4)
 
     @pytest.mark.parametrize("tied", [False, True])
     @pytest.mark.parametrize("per_second", [0, 1, 5, REF_QUADS_PER_SECOND, 1000])
     def test_roots_visited_round_robin_over_seconds(self, peaks, per_second, tied):
-        fps = 31.25
+        fps = FRAMES_PER_SECOND
         if tied:  # amplitudes on a coarse grid, so (t, f) break many ties
             peaks = peaks.copy()
             peaks[:, 2] = np.round(peaks[:, 2] / peaks[:, 2].max(), 1)
@@ -221,7 +222,7 @@ class TestEnumerateQuads:
                 if rank < len(buckets[sec]) and len(want) < target:
                     ai = buckets[sec][rank]
                     want.extend([t[ai] / fps] * n_quads(ai))
-        got = enumerate_quads(peaks, fps, per_second)
+        got = enumerate_quads(peaks, per_second)
         np.testing.assert_array_equal(got["t0"], np.array(want[:target]))
         assert got["hash"].shape == (len(got["t0"]), 4)
 
@@ -230,7 +231,7 @@ class TestLookup:
     def test_lookup_equals_linear_scan(self):
         rng = np.random.default_rng(4)
         hashes = rng.random((2000, 4))
-        db = QuadDB(epsilon=HASH_EPSILON)
+        db = QuadDB()
         db.add_track_quads(
             "t",
             {"hash": hashes, "t0": np.zeros(2000), "dt": np.full(2000, 0.5)},
@@ -242,14 +243,13 @@ class TestLookup:
             np.testing.assert_array_equal(got, want)
 
     def test_boundary_inclusive(self):
-        # a dyadic epsilon keeps the +-epsilon boundary exactly representable
-        eps = 0.015625
-        base = np.array([[0.5, 0.5, 0.5, 0.5]])
-        db = QuadDB(epsilon=eps)
+        # a stored hash at 0 keeps the +-epsilon boundary exactly representable
+        base = np.zeros((1, 4))
+        db = QuadDB()
         db.add_track_quads("t", {"hash": base, "t0": [0.0], "dt": [0.5]})
-        on_edge = np.array([0.5 + eps, 0.5, 0.5, 0.5])
+        on_edge = np.array([HASH_EPSILON, 0.0, 0.0, 0.0])
         assert db.candidates(on_edge).size == 1
-        beyond = np.array([0.5 + eps * 1.01, 0.5, 0.5, 0.5])
+        beyond = np.array([HASH_EPSILON * 1.01, 0.0, 0.0, 0.0])
         assert db.candidates(beyond).size == 0
 
     @pytest.mark.parametrize("axis", range(4))
@@ -316,7 +316,7 @@ def loop_match_quads(db: QuadDB, quads: dict) -> list[QuadMatch]:
     votes: dict[tuple, int] = defaultdict(int)
     log_lo, log_hi = np.log2(STRETCH_MIN), np.log2(STRETCH_MAX)
     for h, t0_q, dt_q in zip(quads["hash"], quads["t0"], quads["dt"]):
-        for qi in box_matches(lay["hash"], np.asarray(h, dtype=np.float64), db.epsilon):
+        for qi in box_matches(lay["hash"], np.asarray(h, dtype=np.float64), HASH_EPSILON):
             s_hat = lay["dt"][qi] / dt_q
             if not STRETCH_MIN <= s_hat <= STRETCH_MAX:
                 continue
@@ -469,16 +469,15 @@ class TestEndToEndAudio:
         for s in (0.8, 1.25):
             excerpt = x[4000 : 4000 + int(round(3 * 8000 * s))]
             spec = stretch_spectrogram(melspectrogram(excerpt), s)
-            peaks = spectrogram_peaks(spec, FRAMES_PER_SECOND)
             ranked = corpus_db.match_quads(
-                enumerate_quads(peaks, FRAMES_PER_SECOND, QUERY_QUADS_PER_SECOND)
+                enumerate_quads(spectrogram_peaks(spec), QUERY_QUADS_PER_SECOND)
             )
             assert ranked[0].track_id == "track2", f"factor {s}"
             assert abs(np.log2(ranked[0].stretch) - np.log2(s)) <= 2 * (2.0 / 32)
 
     def test_wsola_stretched_excerpt_matches_source(self, corpus_db):
         x = synth_track(6.0, seed=30)  # == track0
-        excerpt = stretch_audio(AudioClip(x[:4 * 8000]), 1.25).samples
+        excerpt = stretch_audio(x[:4 * 8000], 1.25)
         ranked = corpus_db.match(excerpt)
         assert ranked[0].track_id == "track0"
 
@@ -495,7 +494,6 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
         back = QuadDB.load(p1)
         assert back.track_ids == db.track_ids
-        assert back.epsilon == db.epsilon
         assert back.meta["note"] == "x"
         assert back.n_quads == db.n_quads
         np.testing.assert_array_equal(back._layout()["hash"], db._layout()["hash"])
