@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ContractError, ShapeError
 
@@ -368,36 +369,15 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     out_data = a.data[idx]
 
     def back():
-        g = np.zeros_like(a.data)
-        _scatter_add_rows(g, idx.reshape(-1), out.grad.reshape(-1, a.data.shape[1]))
-        _accumulate(a, g)
+        # row r of the 0/1 matrix sums the grads gathered from row r in order
+        # from zero, which is np.add.at's arithmetic bit for bit
+        g = out.grad.reshape(-1, a.data.shape[1])
+        cols = np.arange(g.shape[0])
+        hits = (np.ones(cols.size, g.dtype), (idx.reshape(-1) % a.data.shape[0], cols))
+        _accumulate(a, sparse.csr_matrix(hits, shape=(a.data.shape[0], cols.size)) @ g)
 
     out = _make(out_data, (a,), back)
     return out
-
-
-def _scatter_add_rows(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """``np.add.at(target, rows, values)`` over axis 0, bit for bit.
-
-    Pass ``r`` adds the ``r``-th occurrence of every row index with one
-    fancy-index ``+=`` over distinct rows, so each row sums its values in
-    their original order, starting from its current value. The number of
-    passes is the highest multiplicity of any index.
-    """
-    if rows.size == 0:
-        return
-    rows = rows % target.shape[0]  # -1 and n-1 must land in the same pass
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    pos = np.arange(rows.size)
-    first = np.r_[True, sorted_rows[1:] != sorted_rows[:-1]]
-    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
-    by_pass = order[np.argsort(rank, kind="stable")]
-    lo = 0
-    for hi in np.cumsum(np.bincount(rank)):
-        sel = by_pass[lo:hi]
-        target[rows[sel]] += values[sel]
-        lo = hi
 
 
 def scale_bias(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:

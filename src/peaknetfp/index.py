@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from . import container
 from .errors import ConfigError, ContractError, DataError, DecodeError
@@ -211,9 +212,10 @@ def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
             labels[far] = empty
             best[far] = 0.0
             counts[empty] = 1
-        # bincount sums each cluster's rows in row order from zero, as np.add.at does
-        sums = np.stack([np.bincount(labels, col, c.shape[0]) for col in x.T], axis=1)
-        c = sums / np.bincount(labels, minlength=c.shape[0])[:, None]
+        # row j of the 0/1 matrix sums cluster j's rows in row order from zero,
+        # which is np.add.at's arithmetic bit for bit
+        members = sparse.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(c.shape[0], n))
+        c = (members @ x) / np.bincount(labels, minlength=c.shape[0])[:, None]
     labels = np.argmin(_center_distances(x, x_sq, c), axis=1)
     return c, labels
 

@@ -96,71 +96,59 @@ def spectrogram_peaks(spec: np.ndarray) -> np.ndarray:
 
 
 def quad_hash(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """(cx, cy, dx, dy) of C and D in the frame mapping A->(0,0), B->(1,1)."""
-    span_t = b[0] - a[0]
-    span_f = b[1] - a[1]
-    cx, cy = (c[0] - a[0]) / span_t, (c[1] - a[1]) / span_f
-    dx, dy = (d[0] - a[0]) / span_t, (d[1] - a[1]) / span_f
-    if (cx, cy) > (dx, dy):
-        cx, cy, dx, dy = dx, dy, cx, cy
-    return np.array([cx, cy, dx, dy], dtype=np.float64)
+    """(cx, cy, dx, dy) of C and D in the frame mapping A->(0,0), B->(1,1).
+
+    Each argument is one (t, f, ...) point or a stack of them, one per quad.
+    """
+    a, b, c, d = (np.asarray(p)[..., :2] for p in (a, b, c, d))
+    c, d = (c - a) / (b - a), (d - a) / (b - a)
+    (cx, cy), (dx, dy) = np.moveaxis(c, -1, 0), np.moveaxis(d, -1, 0)
+    swap = ((cx > dx) | ((cx == dx) & (cy > dy)))[..., None]
+    return np.concatenate([np.where(swap, d, c), np.where(swap, c, d)], axis=-1)
 
 
 def enumerate_quads(peaks: np.ndarray, per_second: int) -> dict[str, np.ndarray]:
     """Emit up to ``per_second`` quads per second of material.
 
-    Roots are visited round-robin across one-second buckets: every bucket's
-    strongest root (ties: earlier frame, lower bin) in time order, then every
-    bucket's second strongest, and so on, so coverage stays even in time. For
-    each root A, candidate far corners B (0.25-2 s later, at least MIN_DF_BINS
-    away in frequency, so the box never degenerates) are tried strongest
-    first; the two strongest peaks strictly inside the A-B box become C, D. A
-    root yields at most MAX_QUADS_PER_ROOT quads.
+    All three choices follow one strength order, strongest first (ties:
+    earlier frame, lower bin). Roots are visited round-robin across one-second
+    buckets: every bucket's strongest root in time order, then every bucket's
+    second strongest, and so on, so coverage stays even in time. For each root
+    A, candidate far corners B (0.25-2 s later, at least MIN_DF_BINS away in
+    frequency, so the box never degenerates) are tried strongest first; the
+    two strongest peaks strictly inside the A-B box become C, D. A root
+    yields at most MAX_QUADS_PER_ROOT quads.
     """
-    t, f, amp = peaks[:, 0], peaks[:, 1], peaks[:, 2]
     fps = FRAMES_PER_SECOND
+    peaks = peaks[np.lexsort((peaks[:, 1], peaks[:, 0], -peaks[:, 2]))]
+    t, f = peaks[:, 0], peaks[:, 1]
     target = int(round(per_second * ((t.max() + 1) / fps))) if t.size else 0
 
-    def root_quads(ai: int) -> list[tuple[np.ndarray, float, float]]:
+    # by second, strength order kept within each; a root's rank is its place in its second
+    seconds = (t / fps).astype(np.int64)
+    by_sec = np.argsort(seconds, kind="stable")
+    sec = seconds[by_sec]
+    rank = np.arange(sec.size) - np.searchsorted(sec, sec)
+    quads: list[tuple[int, int, int, int]] = []
+    for ai in by_sec[np.lexsort((sec, rank))]:
+        if len(quads) >= target:
+            break
         dt = t - t[ai]
-        cand = np.flatnonzero(
+        far = np.flatnonzero(
             (dt >= DT_MIN_SECONDS * fps)
             & (dt <= DT_MAX_SECONDS * fps)
             & (np.abs(f - f[ai]) >= MIN_DF_BINS)
         )
-        cand = cand[np.lexsort((f[cand], t[cand], -amp[cand]))]
-        out = []
-        for bi in cand:
+        first = len(quads)
+        for bi in far:
             lo_f, hi_f = min(f[ai], f[bi]), max(f[ai], f[bi])
-            inside = np.flatnonzero(
-                (t > t[ai]) & (t < t[bi]) & (f > lo_f) & (f < hi_f)
-            )
-            if inside.size < 2:
-                continue
-            inside = inside[np.lexsort((f[inside], t[inside], -amp[inside]))]
-            ci, di = inside[0], inside[1]
-            h = quad_hash(peaks[ai], peaks[bi], peaks[ci], peaks[di])
-            out.append((h, t[ai] / fps, (t[bi] - t[ai]) / fps))
-            if len(out) >= MAX_QUADS_PER_ROOT:
-                break
-        return out
-
-    # peaks by (second, -amp, t, f); a root's rank is its place in its second
-    seconds = (t / fps).astype(np.int64)
-    order = np.lexsort((f, t, -amp, seconds))
-    sec = seconds[order]
-    rank = np.arange(sec.size) - np.searchsorted(sec, sec)
-    emitted: list[tuple[np.ndarray, float, float]] = []
-    for ai in order[np.lexsort((sec, rank))]:
-        if len(emitted) >= target:
-            break
-        emitted.extend(root_quads(ai))
-    emitted = emitted[:target]
-    return {
-        "hash": np.array([h for h, _, _ in emitted]).reshape(-1, 4),
-        "t0": np.array([t0 for _, t0, _ in emitted]),
-        "dt": np.array([dt for _, _, dt in emitted]),
-    }
+            inner = np.flatnonzero((t > t[ai]) & (t < t[bi]) & (f > lo_f) & (f < hi_f))[:2]
+            if inner.size == 2:
+                quads.append((ai, bi, *inner))
+                if len(quads) - first == MAX_QUADS_PER_ROOT:
+                    break
+    a, b, c, d = peaks[np.array(quads[:target], dtype=np.int64).reshape(-1, 4).T]
+    return {"hash": quad_hash(a, b, c, d), "t0": a[:, 0] / fps, "dt": (b[:, 0] - a[:, 0]) / fps}
 
 
 def box_matches(hashes: np.ndarray, query: np.ndarray, eps: float) -> np.ndarray:

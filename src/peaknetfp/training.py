@@ -76,39 +76,33 @@ class SegmentDataset:
             raise DataError("empty track collection")
         self._samples: list[np.ndarray] = []
         self.track_ids: list[str] = []
-        rows: list[tuple[int, int]] = []  # (track_idx, start)
         clouds: list[np.ndarray] = []
-        for ti, (track_id, samples) in enumerate(tracks):
+        for track_id, samples in tracks:
             x = np.asarray(samples, dtype=np.float32)
             if x.size < SEGMENT_SAMPLES:
                 raise DataError(f"track {track_id!r} is shorter than one segment")
             clouds.append(clip_clouds(x))
             self.track_ids.append(track_id)
             self._samples.append(x)
-            rows.extend((ti, si * SEGMENT_HOP) for si in range(len(clouds[-1])))
-        self._rows = rows
-        log.info("dataset: %d tracks, %d segments", len(tracks), len(rows))
+        # per segment: its track and its first sample
+        self._track = np.repeat(np.arange(len(clouds)), [len(c) for c in clouds])
+        self._start = np.concatenate([np.arange(len(c)) * SEGMENT_HOP for c in clouds])
+        log.info("dataset: %d tracks, %d segments", len(tracks), self._start.size)
         self.originals = np.concatenate(clouds)
 
     @property
     def n_segments(self) -> int:
-        return len(self._rows)
+        return self._start.size
 
     def eligible_indices(self, window_seconds: float) -> np.ndarray:
         """Segments whose start + window_seconds still fits the track."""
         need = int(round(window_seconds * DEFAULT_SAMPLE_RATE))
-        return np.array(
-            [
-                i
-                for i, (ti, start) in enumerate(self._rows)
-                if start + need <= self._samples[ti].size
-            ],
-            dtype=np.int64,
-        )
+        room = np.array([x.size for x in self._samples])[self._track] - self._start
+        return np.flatnonzero(room >= need)
 
     def replica_cloud(self, index: int, factor: float) -> np.ndarray:
         """Same content as segment ``index`` played at ``factor`` x tempo."""
-        ti, start = self._rows[index]
+        ti, start = int(self._track[index]), int(self._start[index])
         need = int(round(SEGMENT_SAMPLES * factor))
         if start + need > self._samples[ti].size:
             raise DataError(

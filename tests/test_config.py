@@ -72,6 +72,11 @@ def test_integer_eval_factors_give_the_same_json():
     assert EvalConfig.from_dict({"factors": [1, 2], "lengths": [2, 5]}) == cfg
 
 
+def test_integer_float_field_gives_the_same_json():
+    cfg = TrainConfig.from_dict({"lr": 1})
+    assert json.dumps(cfg.to_dict()) == json.dumps(TrainConfig(lr=1.0).to_dict())
+
+
 def _encoder_dict() -> dict:
     return json.loads(json.dumps(DEFAULT_CONFIG.to_dict()))
 
@@ -114,6 +119,7 @@ def test_encoder_config_refusals(make):
         (TrainConfig, {"epochs": "many"}),
         (EvalConfig, {"factors": 1.0}),
         (EvalConfig, {"factors": ["fast"]}),
+        (TrainConfig, {"lr": 10**400}),
     ],
 )
 def test_flat_config_refusals(cls, d):

@@ -214,6 +214,17 @@ class TestKMeans:
         assert len(set(labels[50:])) == 1
         assert labels[0] != labels[50]
 
+    def test_centroids_equal_add_at_means_bytes(self):
+        # values over six decades, so another summation order shows in the bits
+        rng = np.random.default_rng(5)
+        centers = 1e7 * np.arange(6.0)[:, None] * np.ones((1, 3))
+        noise = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(300, 3))
+        x = centers[rng.integers(0, 6, size=300)] + noise
+        c, labels = kmeans(x, 6, seed=0)
+        sums = np.zeros_like(c)
+        np.add.at(sums, labels, x)
+        assert c.tobytes() == (sums / np.bincount(labels)[:, None]).tobytes()
+
     def test_duplicate_points_shrink_k(self):
         x = np.tile(np.arange(4.0)[:, None], (1, 3)).repeat(5, axis=0)  # 4 distinct
         c, labels = kmeans(x, 10, seed=0)

@@ -93,6 +93,15 @@ class TestQuadHash:
                 scaled = [np.array([p[0] / s, p[1], p[2]]) for p in quad]
                 assert np.abs(quad_hash(*scaled) - base).max() <= 1e-9
 
+    def test_stack_equals_single_calls(self):
+        rng = np.random.default_rng(7)
+        a, b, c, d = rng.uniform(0.0, 100.0, size=(4, 60, 3))
+        c[:10, 0] = d[:10, 0]  # equal x: order decided by y
+        c[10:15] = d[10:15]
+        got = quad_hash(a, b, c, d)
+        want = np.stack([quad_hash(a[i], b[i], c[i], d[i]) for i in range(60)])
+        assert got.shape == (60, 4) and got.tobytes() == want.tobytes()
+
 
 class TestParabolicRefine:
     def test_hand_worked_vertex(self):
@@ -195,36 +204,45 @@ class TestEnumerateQuads:
             peaks[:, 2] = np.round(peaks[:, 2] / peaks[:, 2].max(), 1)
         t, f, amp = peaks[:, 0], peaks[:, 1], peaks[:, 2]
 
-        def n_quads(ai):
-            # far corners B in the time and frequency window with two
-            # peaks strictly inside the A-B box, at most MAX_QUADS_PER_ROOT
-            n = 0
-            for bi in range(len(peaks)):
-                dt = t[bi] - t[ai]
-                if not DT_MIN_SECONDS * fps <= dt <= DT_MAX_SECONDS * fps:
-                    continue
-                if abs(f[bi] - f[ai]) < MIN_DF_BINS:
-                    continue
+        def strongest_first(idx):
+            return sorted(idx, key=lambda i: (-amp[i], t[i], f[i], i))
+
+        def root_quads(ai):
+            # far corners B in the time and frequency window, strongest first,
+            # each with the two strongest peaks strictly inside the A-B box
+            out = []
+            dt = t - t[ai]
+            window = (dt >= DT_MIN_SECONDS * fps) & (dt <= DT_MAX_SECONDS * fps)
+            for bi in strongest_first(np.flatnonzero(window & (np.abs(f - f[ai]) >= MIN_DF_BINS))):
                 lo, hi = sorted((f[ai], f[bi]))
-                inside = (t > t[ai]) & (t < t[bi]) & (f > lo) & (f < hi)
-                n += int(inside.sum() >= 2)
-            return min(n, MAX_QUADS_PER_ROOT)
+                inside = np.flatnonzero((t > t[ai]) & (t < t[bi]) & (f > lo) & (f < hi))
+                if inside.size >= 2 and len(out) < MAX_QUADS_PER_ROOT:
+                    out.append((ai, bi, *strongest_first(inside)[:2]))
+            return out
+
+        def quad_hash_loop(ai, bi, ci, di):
+            span_t, span_f = t[bi] - t[ai], f[bi] - f[ai]
+            c = ((t[ci] - t[ai]) / span_t, (f[ci] - f[ai]) / span_f)
+            d = ((t[di] - t[ai]) / span_t, (f[di] - f[ai]) / span_f)
+            return [*min(c, d), *max(c, d)]
 
         buckets: dict[int, list[int]] = {}
         for i in range(len(peaks)):
             buckets.setdefault(int(t[i] / fps), []).append(i)
         for idx in buckets.values():
-            idx.sort(key=lambda i: (-amp[i], t[i], f[i], i))
+            idx[:] = strongest_first(idx)
         target = int(round(per_second * ((t.max() + 1) / fps)))
-        want: list[float] = []
+        want: list[tuple] = []
         for rank in range(max(len(b) for b in buckets.values())):
             for sec in sorted(buckets):
                 if rank < len(buckets[sec]) and len(want) < target:
-                    ai = buckets[sec][rank]
-                    want.extend([t[ai] / fps] * n_quads(ai))
+                    want.extend(root_quads(buckets[sec][rank]))
+        want = want[:target]
         got = enumerate_quads(peaks, per_second)
-        np.testing.assert_array_equal(got["t0"], np.array(want[:target]))
-        assert got["hash"].shape == (len(got["t0"]), 4)
+        assert got["t0"].tobytes() == np.array([t[a] / fps for a, *_ in want]).tobytes()
+        assert got["dt"].tobytes() == np.array([(t[b] - t[a]) / fps for a, b, *_ in want]).tobytes()
+        assert got["hash"].shape == (len(want), 4)
+        assert got["hash"].tobytes() == np.array([quad_hash_loop(*q) for q in want]).tobytes()
 
 
 class TestLookup:

@@ -186,6 +186,15 @@ class TestSegmentDataset:
         np.testing.assert_array_equal(
             toy_dataset.eligible_indices(2.0), [0, 1, 2, 5, 6, 7]
         )
+        assert toy_dataset.eligible_indices(2.0).dtype == np.int64
+
+    def test_eligible_indices_follow_each_track_length(self):
+        (a, xa), (b, xb) = make_tracks(2, 4.5, seed=11)
+        ds = SegmentDataset([(a, xa[:24000]), (b, xb)])
+        # 5 segments of the 3 s track, then 8 of the 4.5 s one; a 2 s window
+        # needs start + 16000 <= 24000 or 36000
+        np.testing.assert_array_equal(ds.eligible_indices(2.0), [0, 1, 2, 5, 6, 7, 8, 9, 10])
+        assert ds.eligible_indices(4.5).size == 1
 
     def test_identity_replica_is_the_original(self, toy_dataset):
         for i in (0, 3, 7):
