@@ -6,12 +6,13 @@ mul, transpose, relu, concat, max/sum reductions, log-softmax, row L2
 normalization, reshape, row gathering, scale-and-shift, and batch
 normalization.
 Training-mode MLP layers run as one fused node, ``mlp_layer`` =
-relu(batch_norm(linear(...))) with a hand-written backward that does the
+relu(batch_norm(matmul(...))) with a hand-written backward that does the
 composition's arithmetic in its order, so its outputs and gradients equal the
-composition's bit for bit. ``linear``, ``batch_norm`` and ``relu`` stay: they
-are the reference ``mlp_layer`` is tested against, inference and the final
-projection use ``linear`` and ``relu``, and the benchmark's tracer wraps each
-op by name.
+composition's bit for bit. A normalized layer has no bias: BatchNorm's mean
+subtraction would cancel it. ``matmul``, ``batch_norm`` and ``relu`` stay: they
+are the reference ``mlp_layer`` is tested against, inference uses ``matmul``
+and ``relu``, the final projection uses ``linear``, and the benchmark's tracer
+wraps ops by name.
 Gradients flow through a recorded tape of closures, replayed in reverse
 topological order. float32 is the working dtype; float64 inputs are honored
 (gradient checks run the whole stack in float64).
@@ -219,7 +220,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Fused x @ w + b for 2-D x: inference MLP layers and the final projection."""
+    """Fused x @ w + b for 2-D x: the final projection, the one layer with a bias."""
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ShapeError(
             f"linear: bad ranks {x.data.shape} @ {w.data.shape} + {b.data.shape}"
@@ -445,25 +446,23 @@ def _col_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def mlp_layer(
-    x: Tensor, w: Tensor, b: Tensor, gamma: Tensor, beta: Tensor
+    x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """relu(batch_norm(linear(x, w, b), gamma, beta)) as one taped node.
+    """relu(batch_norm(matmul(x, w), gamma, beta)) as one taped node.
 
     Training mode only; returns (y, batch_mean, batch_var) as ``batch_norm``
     does. The arithmetic is the composition's, in its order, so every bit
     matches it; the tape keeps only the normalized activations and ``y``.
+    There is no bias operand: the mean subtraction would cancel it.
     """
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ShapeError(f"mlp_layer: bad ranks {x.data.shape} @ {w.data.shape}")
     n, c = x.data.shape[0], w.data.shape[1]
-    if x.data.shape[1] != w.data.shape[0] or not (
-        b.data.shape == gamma.data.shape == beta.data.shape == (c,)
-    ):
+    if x.data.shape[1] != w.data.shape[0] or not gamma.data.shape == beta.data.shape == (c,):
         raise ShapeError(
-            f"mlp_layer: {x.data.shape} @ {w.data.shape}, b/gamma/beta must be ({c},)"
+            f"mlp_layer: {x.data.shape} @ {w.data.shape}, gamma/beta must be ({c},)"
         )
     xhat = x.data @ w.data
-    xhat += b.data
     mu = xhat.mean(axis=0)
     xhat -= mu
     var = _col_dot(xhat, xhat) / n
@@ -486,9 +485,8 @@ def mlp_layer(
         if x.requires_grad:  # the first layers take constant coordinates
             _accumulate(x, g @ w.data.T)
         _accumulate(w, x.data.T @ g)
-        _accumulate(b, g.sum(axis=0))
 
-    out = _make(out_data, (x, w, b, gamma, beta), back)
+    out = _make(out_data, (x, w, gamma, beta), back)
     return out, mu, var
 
 

@@ -7,6 +7,9 @@ center-relative coordinates (plus carried features) and max-pools it; two
 such stages feed a global stage that max-pools pointwise features, applies a
 plain affine projection (no rectifier, so fingerprints are not confined to
 the non-negative orthant), and row-normalizes to a unit 128-d fingerprint.
+Each MLP layer is a bias-free linear map, BatchNorm and a ReLU: the mean
+subtraction would cancel a bias, and BatchNorm's shift stands in for it. Only
+the final projection has a bias.
 
 Determinism guarantees, relied on by tests and by retrieval:
 - the input cloud is re-sorted into a canonical order (amplitude descending,
@@ -45,7 +48,6 @@ from .index import smallest_k
 
 log = logging.getLogger(__name__)
 
-EMBED_DIM = 128
 # BatchNorm's running-statistics momentum
 BN_MOMENTUM = 0.1
 # config keys that older checkpoints store, with the only value the encoder has
@@ -218,10 +220,11 @@ class PeakEncoder:
         limit = np.sqrt(6.0 / fan_in)
         w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         self.params[f"{prefix}.w"] = ad.Tensor(w.astype(self.dtype), requires_grad=True)
-        self.params[f"{prefix}.b"] = ad.Tensor(
-            np.zeros(fan_out, dtype=self.dtype), requires_grad=True
-        )
         if not norm:
+            # BatchNorm would cancel a bias, so only an unnormalized layer has one
+            self.params[f"{prefix}.b"] = ad.Tensor(
+                np.zeros(fan_out, dtype=self.dtype), requires_grad=True
+            )
             return
         self.params[f"{prefix}.gamma"] = ad.Tensor(
             np.ones(fan_out, dtype=self.dtype), requires_grad=True
@@ -260,15 +263,15 @@ class PeakEncoder:
     def _mlp(self, h: ad.Tensor, prefix: str, widths: tuple[int, ...], training: bool) -> ad.Tensor:
         for li in range(len(widths)):
             p = f"{prefix}.l{li}"
-            w, b = self.params[f"{p}.w"], self.params[f"{p}.b"]
+            w = self.params[f"{p}.w"]
             gamma, beta = self.params[f"{p}.gamma"], self.params[f"{p}.beta"]
             if training:
-                h, mu, var = ad.mlp_layer(h, w, b, gamma, beta)
+                h, mu, var = ad.mlp_layer(h, w, gamma, beta)
                 self.running[f"{p}.rmean"] += (BN_MOMENTUM * (mu - self.running[f"{p}.rmean"])).astype(self.dtype)
                 self.running[f"{p}.rvar"] += (BN_MOMENTUM * (var - self.running[f"{p}.rvar"])).astype(self.dtype)
             else:
                 # one rebinding per op, so no_grad frees each input as it goes
-                h = ad.linear(h, w, b)
+                h = ad.matmul(h, w)
                 inv = ad.constant(
                     (1.0 / np.sqrt(self.running[f"{p}.rvar"].astype(np.float64) + ad.BN_EPS)).astype(self.dtype)
                 )
@@ -367,16 +370,32 @@ class PeakEncoder:
         container.write(path, CHECKPOINT, *self.state())
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Parameters and running statistics from checkpoint arrays."""
+        """Parameters and running statistics from checkpoint arrays.
+
+        Older checkpoints also store a bias ``p/<layer>.b`` for normalized
+        layers. BatchNorm subtracts the mean after it, z + b − μ = z − (μ − b),
+        so such a bias is folded into that layer's running mean.
+        """
         for key, now in self.state()[0].items():
             if key not in arrays or arrays[key].shape != now.shape:
                 raise DecodeError(f"checkpoint has no {key!r} of shape {now.shape}")
             if not np.isfinite(arrays[key]).all():
                 raise DecodeError(f"checkpoint {key!r} holds non-finite values")
+        means = {}
+        for name, now in self.running.items():
+            bias = arrays.get(f"p/{name.removesuffix('.rmean')}.b")
+            if not name.endswith(".rmean") or bias is None:
+                continue
+            if bias.shape != now.shape:
+                raise DecodeError(f"checkpoint bias of {name!r} is not of shape {now.shape}")
+            means[name] = arrays[f"r/{name}"].astype(self.dtype) - bias.astype(self.dtype)
+            if not np.isfinite(means[name]).all():
+                raise DecodeError(f"checkpoint bias of {name!r} is not finite")
         for name, p in self.params.items():
             p.data = arrays[f"p/{name}"].astype(self.dtype)
         for name in self.running:
             self.running[name] = arrays[f"r/{name}"].astype(self.dtype)
+        self.running.update(means)
 
     @classmethod
     def from_state(

@@ -198,6 +198,8 @@ class QuadDB:
             "t0": np.asarray(quads["t0"], dtype=np.float64).reshape(-1),
             "dt": np.asarray(quads["dt"], dtype=np.float64).reshape(-1),
         }
+        if not len(arrays["hash"]) == len(arrays["t0"]) == len(arrays["dt"]):
+            raise DataError(f"track {track_id!r}: quad arrays disagree in length")
         if not all(np.isfinite(a).all() for a in arrays.values()):
             raise DataError(f"track {track_id!r}: quad values must be finite")
         self._quads[track_id] = arrays

@@ -16,14 +16,13 @@ def _mlp_point(vec, prefix, widths, arrays, running):
     h = [float(v) for v in vec]
     for li, width in enumerate(widths):
         w = arrays[f"{prefix}.l{li}.w"]
-        b = arrays[f"{prefix}.l{li}.b"]
         gamma = arrays[f"{prefix}.l{li}.gamma"]
         beta = arrays[f"{prefix}.l{li}.beta"]
         rmean = running[f"{prefix}.l{li}.rmean"]
         rvar = running[f"{prefix}.l{li}.rvar"]
         out = []
         for j in range(width):
-            s = sum(h[k] * float(w[k, j]) for k in range(len(h))) + float(b[j])
+            s = sum(h[k] * float(w[k, j]) for k in range(len(h)))
             s = float(gamma[j]) * (s - float(rmean[j])) / math.sqrt(
                 float(rvar[j]) + BN_EPS
             ) + float(beta[j])

@@ -214,9 +214,9 @@ class TestPrimitiveGradients:
         check_grads(build, arrays, rtol=1e-4, atol=1e-6)
 
 
-def composed_mlp_layer(x, w, b, gamma, beta):
+def composed_mlp_layer(x, w, gamma, beta):
     """The reference ``mlp_layer`` must match bit for bit."""
-    y, mu, var = ad.batch_norm(ad.linear(x, w, b), gamma, beta)
+    y, mu, var = ad.batch_norm(ad.matmul(x, w), gamma, beta)
     return ad.relu(y), mu, var
 
 
@@ -227,7 +227,7 @@ class TestMlpLayer:
             k: ad.Tensor(v.copy(), requires_grad=not (x_const and k == "x"))
             for k, v in arrays.items()
         }
-        y, mu, var = layer(t["x"], t["w"], t["b"], t["gamma"], t["beta"])
+        y, mu, var = layer(t["x"], t["w"], t["gamma"], t["beta"])
         ad.reduce_sum(ad.mul(y, ad.constant(head))).backward()
         return {"y": y.data, "mu": mu, "var": var, **{k: v.grad for k, v in t.items()}}
 
@@ -241,7 +241,6 @@ class TestMlpLayer:
         arrays = {
             "x": rng.normal(size=(rows, 5)),
             "w": rng.normal(size=(5, 6)),
-            "b": rng.normal(size=6),
             "gamma": rng.uniform(0.5, 1.5, 6),
             "beta": rng.normal(size=6),
         }
@@ -263,9 +262,9 @@ class TestMlpLayer:
 
     def test_finite_differences_away_from_kink(self):
         rng = np.random.default_rng(18)
-        x, w, b = rand(rng, 6, 3), rand(rng, 3, 4), rand(rng, 4)
+        x, w = rand(rng, 6, 3), rand(rng, 3, 4)
         gamma = rng.uniform(0.5, 1.5, 4)
-        z = x @ w + b
+        z = x @ w
         xhat = np.sort((z - z.mean(0)) / np.sqrt(z.var(0) + ad.BN_EPS), axis=0)
         # each column's kink halfway between its 3rd and 4th normalized value
         beta = -gamma * (xhat[2] + xhat[3]) / 2
@@ -274,11 +273,11 @@ class TestMlpLayer:
         check_grads(
             lambda t: ad.reduce_sum(
                 ad.mul(
-                    ad.mlp_layer(t["x"], t["w"], t["b"], t["g"], t["beta"])[0],
+                    ad.mlp_layer(t["x"], t["w"], t["g"], t["beta"])[0],
                     ad.constant(head),
                 )
             ),
-            {"x": x, "w": w, "b": b, "g": gamma, "beta": beta},
+            {"x": x, "w": w, "g": gamma, "beta": beta},
             rtol=1e-4,
             atol=1e-6,
         )
@@ -286,9 +285,11 @@ class TestMlpLayer:
     def test_shape_violations(self):
         x, w, v = ad.Tensor(np.ones((4, 3))), ad.Tensor(np.ones((3, 2))), ad.Tensor(np.ones(2))
         with pytest.raises(ShapeError):
-            ad.mlp_layer(x, ad.Tensor(np.ones((2, 2))), v, v, v)
+            ad.mlp_layer(x, ad.Tensor(np.ones((2, 2))), v, v)
         with pytest.raises(ShapeError):
-            ad.mlp_layer(x, w, v, ad.Tensor(np.ones(3)), v)
+            ad.mlp_layer(x, w, ad.Tensor(np.ones(3)), v)
+        with pytest.raises(ShapeError):
+            ad.mlp_layer(x, w, v, ad.Tensor(np.ones(3)))
 
 
 class TestGraphMechanics:

@@ -26,7 +26,7 @@ from peaknetfp.encoder import (
     sample_anchors,
 )
 from peaknetfp.errors import ConfigError, DataError, DecodeError, ShapeError
-from peaknetfp.signal import clip_clouds
+from peaknetfp.signal.peaks import clip_clouds
 
 TABLE_SETTINGS = [(4, 0.1), (8, 0.2), (16, 0.3), (4, 0.2), (8, 0.3), (16, 0.4)]
 
@@ -204,8 +204,12 @@ class TestEncoderForward:
     def test_parameter_count_near_budget(self):
         model = PeakEncoder()
         count = model.parameter_count()
-        assert count == 173_504  # frozen from the layer arithmetic by hand
+        # frozen from the layer arithmetic by hand: 173,504 less the biases of
+        # the normalized layers, whose widths sum to 336 + 640 + 384
+        assert count == 172_144
         assert abs(count - 169_000) / 169_000 < 0.05
+        assert len(model.params) == 62
+        assert [name for name in model.params if name.endswith(".b")] == ["g.l2.b"]
 
     def test_unit_norm_fingerprints(self):
         rng = np.random.default_rng(1)
@@ -345,6 +349,47 @@ class TestCheckpointPersistence:
             container.write(path, CHECKPOINT, arrays, {"config": {**stored, key: value}})
             with pytest.raises(DecodeError, match=key):
                 PeakEncoder.from_checkpoint(path)
+
+    @staticmethod
+    def _biased_state(model, seed):
+        """The model's state as a checkpoint from before normalized layers lost
+        their bias: a random ``p/<layer>.b`` and the running mean raised by it."""
+        rng = np.random.default_rng(seed)
+        arrays, meta = model.state()
+        for name in model.running:
+            if name.endswith(".rmean"):
+                layer = name.removesuffix(".rmean")
+                bias = rng.normal(scale=0.5, size=arrays[f"r/{name}"].shape).astype(np.float32)
+                arrays[f"p/{layer}.b"] = bias
+                arrays[f"r/{name}"] = arrays[f"r/{name}"] + bias
+        return arrays, meta
+
+    def test_normalized_layer_bias_folds_into_running_mean(self, tmp_path):
+        rng = np.random.default_rng(11)
+        model = PeakEncoder(config=tiny_config(), seed=11)
+        for name in model.running:
+            lo, hi = (-0.2, 0.2) if name.endswith(".rmean") else (0.5, 2.0)
+            model.running[name] = rng.uniform(lo, hi, model.running[name].shape).astype(np.float32)
+        arrays, meta = self._biased_state(model, 12)
+        assert sum(k.endswith(".b") for k in arrays) == 10  # 9 normalized layers and g.l1
+        path = tmp_path / "biased.ckpt"
+        container.write(path, CHECKPOINT, arrays, meta)
+        clouds = rng.random((4, 16, 3)).astype(np.float32)
+        old = PeakEncoder.from_checkpoint(path)
+        assert old.params.keys() == model.params.keys()
+        np.testing.assert_allclose(old.fingerprints(clouds), model.fingerprints(clouds), atol=1e-5)
+
+    @pytest.mark.parametrize("bad", ["shape", "nan"])
+    def test_bad_normalized_layer_bias_rejected(self, bad):
+        model = PeakEncoder(config=tiny_config(), seed=13)
+        arrays, _ = self._biased_state(model, 14)
+        key = "p/s2.b1.l0.b"
+        if bad == "shape":
+            arrays[key] = arrays[key][:-1]
+        else:
+            arrays[key][1] = np.nan
+        with pytest.raises(DecodeError, match="s2.b1.l0.rmean"):
+            model.load_state(arrays)
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = PeakEncoder(config=tiny_config(), seed=9)

@@ -317,6 +317,16 @@ class TestLookup:
         with pytest.raises(DataError):
             db.match_quads({"hash": q[None, :], "t0": [0.0], "dt": [1.0]})
 
+    @pytest.mark.parametrize(
+        "shapes", [((3, 4), (5,), (5,)), ((5, 4), (4,), (5,)), ((5, 4), (5,), (6,))]
+    )
+    def test_quad_arrays_of_unequal_length_rejected(self, shapes):
+        quads = {key: np.full(shape, 0.5) for key, shape in zip(("hash", "t0", "dt"), shapes)}
+        db = QuadDB()
+        with pytest.raises(DataError, match="disagree in length"):
+            db.add_track_quads("t", quads)
+        assert db.track_ids == []
+
     @pytest.mark.parametrize("key", ["hash", "t0", "dt"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_stored_quad_rejected(self, key, bad):

@@ -13,21 +13,20 @@ import pytest
 
 from peaknetfp import reference as ref
 from peaknetfp.errors import ConfigError, DataError, DecodeError, ShapeError
-from peaknetfp.signal import (
+from peaknetfp.signal.audio import load_audio, segment_clip, stretch_audio, write_wav
+from peaknetfp.signal.peaks import (
     PeakEntry,
     extract_peaks,
-    load_audio,
     local_maxima,
+    read_peaks,
+    select_peaks,
+    write_peaks,
+)
+from peaknetfp.signal.spectral import (
     mel_filterbank,
     melspectrogram,
-    read_peaks,
-    segment_clip,
-    select_peaks,
     stft_magnitude,
-    stretch_audio,
     stretch_spectrogram,
-    write_peaks,
-    write_wav,
 )
 
 

@@ -315,9 +315,9 @@ class TestTrainLoop:
         fused_losses, fused = run()
         calls = []
 
-        def composed(x, w, b, gamma, beta):
+        def composed(x, w, gamma, beta):
             calls.append(1)
-            y, mu, var = ad.batch_norm(ad.linear(x, w, b), gamma, beta)
+            y, mu, var = ad.batch_norm(ad.matmul(x, w), gamma, beta)
             return ad.relu(y), mu, var
 
         monkeypatch.setattr(ad, "mlp_layer", composed)
