@@ -5,14 +5,16 @@ dense matmul and the fused linear layer, same-shape add/sub/mul, scalar
 mul, transpose, relu, concat, max/sum reductions, log-softmax, row L2
 normalization, reshape, row gathering, scale-and-shift, and batch
 normalization.
-Training-mode MLP layers run as one fused node, ``mlp_layer`` =
-relu(batch_norm(matmul(...))) with a hand-written backward that does the
-composition's arithmetic in its order, so its outputs and gradients equal the
-composition's bit for bit. A normalized layer has no bias: BatchNorm's mean
-subtraction would cancel it. ``matmul``, ``batch_norm`` and ``relu`` stay: they
-are the reference ``mlp_layer`` is tested against, inference uses ``matmul``
-and ``relu``, the final projection uses ``linear``, and the benchmark's tracer
-wraps ops by name.
+Each MLP layer runs as one fused node with a hand-written backward that does
+its composition's arithmetic in its order, so outputs and gradients equal the
+composition's bit for bit: in training ``mlp_layer`` =
+relu(batch_norm(matmul(...))), in inference ``frozen_mlp_layer`` =
+relu(scale_bias(matmul(...))) with the affine of the frozen statistics, which
+untaped runs in place on the matmul output. A normalized layer has no bias:
+BatchNorm's mean subtraction would cancel it. ``batch_norm``, ``scale_bias``
+and ``relu`` stay: they are the references the fused layers are tested against,
+and the benchmark's tracer wraps ops by name. The final projection uses
+``linear``.
 Gradients flow through a recorded tape of closures, replayed in reverse
 topological order. float32 is the working dtype; float64 inputs are honored
 (gradient checks run the whole stack in float64).
@@ -20,7 +22,7 @@ topological order. float32 is the working dtype; float64 inputs are honored
 Deliberate restrictions, enforced loudly:
 - matmul is strictly 2-D;
 - broadcasting exists only where stated: the bias of ``linear``, the
-  per-channel vectors of ``scale_bias``, ``batch_norm`` and ``mlp_layer``,
+  per-channel vectors of ``scale_bias``, ``batch_norm`` and the fused layers,
   and ``mul``'s scalar; ``add`` and ``sub`` take same-shape tensors only;
 - ``backward()`` starts from scalars only.
 
@@ -408,8 +410,8 @@ def batch_norm(
     """Normalize rows of a 2-D tensor by batch statistics (training mode).
 
     Returns (y, batch_mean, batch_var); the plain-array statistics feed the
-    caller's running averages. Inference composes scale_bias with frozen
-    statistics instead.
+    caller's running averages. Inference applies the frozen statistics'
+    affine instead (``frozen_mlp_layer``).
     """
     if x.data.ndim != 2:
         raise ShapeError(f"batch_norm expects 2-D input, got {x.data.shape}")
@@ -445,6 +447,15 @@ def _col_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
 
 
+def _check_layer(op: str, x: Tensor, w: Tensor, *vectors: np.ndarray) -> None:
+    # a 2-D x @ w, and every per-channel vector of the layer is (C,)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"{op}: {x.data.shape} @ {w.data.shape}")
+    c = w.data.shape[1]
+    if any(v.shape != (c,) for v in vectors):
+        raise ShapeError(f"{op}: per-channel vectors must be ({c},), got {[v.shape for v in vectors]}")
+
+
 def mlp_layer(
     x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
@@ -455,13 +466,8 @@ def mlp_layer(
     matches it; the tape keeps only the normalized activations and ``y``.
     There is no bias operand: the mean subtraction would cancel it.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError(f"mlp_layer: bad ranks {x.data.shape} @ {w.data.shape}")
-    n, c = x.data.shape[0], w.data.shape[1]
-    if x.data.shape[1] != w.data.shape[0] or not gamma.data.shape == beta.data.shape == (c,):
-        raise ShapeError(
-            f"mlp_layer: {x.data.shape} @ {w.data.shape}, gamma/beta must be ({c},)"
-        )
+    _check_layer("mlp_layer", x, w, gamma.data, beta.data)
+    n = x.data.shape[0]
     xhat = x.data @ w.data
     mu = xhat.mean(axis=0)
     xhat -= mu
@@ -488,6 +494,41 @@ def mlp_layer(
 
     out = _make(out_data, (x, w, gamma, beta), back)
     return out, mu, var
+
+
+def frozen_mlp_layer(
+    x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, rmean: np.ndarray, rvar: np.ndarray
+) -> Tensor:
+    """relu(scale_bias(matmul(x, w), scale, shift)) as one node (inference mode).
+
+    Frozen BatchNorm is the affine ``scale = gamma / sqrt(rvar + eps)``,
+    ``shift = beta - rmean * scale``. Untaped, it and the ReLU run in place on
+    the matmul output, one activation per layer instead of three; taped, the
+    matmul output is kept for ``scale``'s gradient. Every bit matches the
+    composition.
+    """
+    _check_layer("frozen_mlp_layer", x, w, gamma.data, beta.data, rmean, rvar)
+    inv = (1.0 / np.sqrt(rvar.astype(np.float64) + BN_EPS)).astype(gamma.data.dtype)
+    scale = gamma.data * inv
+    shift = beta.data - rmean * scale
+    taped = _grad_enabled and any(t.requires_grad for t in (x, w, gamma, beta))
+    z = x.data @ w.data
+    out_data = z * scale if taped else np.multiply(z, scale, out=z)
+    out_data += shift
+    np.maximum(out_data, 0, out=out_data)
+
+    def back():
+        g = out.grad * (out_data > 0)
+        g_shift = g.sum(axis=0)
+        _accumulate(beta, g_shift)
+        _accumulate(gamma, ((g * z).sum(axis=0) + -g_shift * rmean) * inv)
+        g = g * scale
+        if x.requires_grad:  # the first layers take constant coordinates
+            _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+
+    out = _make(out_data, (x, w, gamma, beta), back)
+    return out
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

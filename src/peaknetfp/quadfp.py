@@ -194,10 +194,12 @@ class QuadDB:
         if track_id in self._quads:
             raise DataError(f"duplicate track id {track_id!r}")
         arrays = {
-            "hash": np.asarray(quads["hash"], dtype=np.float64).reshape(-1, 4),
+            "hash": np.asarray(quads["hash"], dtype=np.float64),
             "t0": np.asarray(quads["t0"], dtype=np.float64).reshape(-1),
             "dt": np.asarray(quads["dt"], dtype=np.float64).reshape(-1),
         }
+        if arrays["hash"].ndim != 2 or arrays["hash"].shape[1] != 4:
+            raise DataError(f"track {track_id!r}: hash must be (n, 4), got {arrays['hash'].shape}")
         if not len(arrays["hash"]) == len(arrays["t0"]) == len(arrays["dt"]):
             raise DataError(f"track {track_id!r}: quad arrays disagree in length")
         if not all(np.isfinite(a).all() for a in arrays.values()):

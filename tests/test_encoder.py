@@ -15,6 +15,7 @@ from peaknetfp.corpus import make_track
 from peaknetfp.encoder import (
     CHECKPOINT,
     DEFAULT_CONFIG,
+    INFER_BATCH,
     BranchSpec,
     EncoderConfig,
     PeakEncoder,
@@ -246,6 +247,34 @@ class TestEncoderForward:
         taped = model.encode(clouds, training=False)
         assert taped.requires_grad
         np.testing.assert_array_equal(model.fingerprints(clouds), taped.data)
+
+    def test_chunks_equal_a_single_pass_bytes(self, monkeypatch):
+        model = PeakEncoder(seed=0)
+        clouds = clip_clouds(make_track(1, seconds=33.0))[:65]
+        assert len(clouds) == 65
+        with monkeypatch.context() as m:
+            m.setattr("peaknetfp.encoder.INFER_BATCH", 10**6)
+            single = model.fingerprints(clouds)
+        # 59 clouds are a 30 s track's ingest; 65 left a one-cloud pass before
+        for n in [*range(2, 21), 59, 65]:
+            assert model.fingerprints(clouds[:n]).tobytes() == single[:n].tobytes(), n
+
+    def test_chunks_near_equal_and_never_one_cloud(self, monkeypatch):
+        sizes = []
+
+        def encode(self, clouds, training=False):
+            sizes.append(len(clouds))
+            return ad.Tensor(clouds[:, 0, :1] + 1.0)  # the cloud's index + 1
+
+        monkeypatch.setattr(PeakEncoder, "encode", encode)
+        model = PeakEncoder(config=tiny_config())
+        for n in range(1, 100):
+            sizes.clear()
+            clouds = np.broadcast_to(np.arange(n, dtype=np.float32)[:, None, None], (n, 2, 3))
+            assert model.fingerprints(clouds)[:, 0].tolist() == list(range(1, n + 1))
+            assert len(sizes) == -(-n // INFER_BATCH), n
+            assert max(sizes) <= INFER_BATCH and max(sizes) - min(sizes) <= 1, (n, sizes)
+            assert n == 1 or min(sizes) >= 2, (n, sizes)
 
     def test_zero_cloud_gets_fixed_unit_direction(self):
         model = PeakEncoder(seed=0)

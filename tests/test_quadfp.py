@@ -327,6 +327,16 @@ class TestLookup:
             db.add_track_quads("t", quads)
         assert db.track_ids == []
 
+    @pytest.mark.parametrize("shape", [(4, 5), (5, 3), (5,), (20,), (5, 1, 4)])
+    def test_hash_not_n_by_4_rejected(self, shape):
+        # (4, 5) would reshape to five scrambled 4-d hashes beside five t0/dt
+        n = 5
+        quads = {"hash": np.full(shape, 0.5), "t0": np.zeros(n), "dt": np.ones(n)}
+        db = QuadDB()
+        with pytest.raises(DataError, match=r"hash must be \(n, 4\)"):
+            db.add_track_quads("t", quads)
+        assert db.track_ids == []
+
     @pytest.mark.parametrize("key", ["hash", "t0", "dt"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_stored_quad_rejected(self, key, bad):
