@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data/config error, 3 internal
-invariant violation.
+Exit codes: 0 success, 1 usage error, 2 data/config error or diverged
+training, 3 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from . import autodiff as ad
 from . import reference as ref
 from .corpus import write_corpus
 from .encoder import EncoderConfig, PeakEncoder, checkpoint_id, query_ball_group
-from .errors import ConfigError, ContractError, DataError, DecodeError
+from .errors import ConfigError, ContractError, DataError, DecodeError, TrainingDiverged
 from .evaluate import EvalConfig, cut_query, run_sweep
 from .index import FingerprintDB, IVFPQIndex, sequence_match
 from .quadfp import HASH_EPSILON, QuadDB, box_matches
@@ -373,7 +373,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (DataError, DecodeError, ConfigError) as exc:
+    except (DataError, DecodeError, ConfigError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContractError as exc:

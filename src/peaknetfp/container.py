@@ -16,14 +16,20 @@ Sizes are summed as Python ints before any array is built, so a bad header
 cannot cause a huge allocation. Arrays come back as read-only views of the
 file's bytes. What the meta and arrays of each kind must hold is checked by
 that kind's loader.
+
+Fingerprint databases, quad databases and peak files share one per-track
+layout, :class:`TrackTable`: each named array holds every track's rows run
+after run, and ``meta["tracks"]`` lists each run's ``[track_id, row count]``.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
 import zlib
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -96,18 +102,69 @@ def read(path: str | Path, kind: str) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def track_runs(meta: dict, n_rows: int) -> list:
-    """The ``meta["tracks"]`` table of ``[track_id, row count]`` runs.
+class TrackTable:
+    """Rows of named arrays per track id, in insertion order; every name of a
+    track holds the same number of rows. ``rows`` is a read-only view."""
 
-    Raises :class:`DecodeError` unless it is a non-empty list of such pairs
-    whose counts sum to ``n_rows``.
+    def __init__(self) -> None:
+        self._rows: dict[str, dict[str, np.ndarray]] = {}
+        self.rows = MappingProxyType(self._rows)
+        self._joined: dict | None = None
+
+    def add(self, track_id: str, rows: dict[str, np.ndarray]) -> None:
+        if track_id in self._rows:
+            raise DataError(f"duplicate track id {track_id!r}")
+        self._rows[track_id] = rows
+        self._joined = None
+
+    def joined(self) -> dict:
+        """Each name's rows of every track in order, plus ``ids``, each row's
+        ``track`` index into them and each track's first row, ``starts``;
+        cached until the next ``add``."""
+        if self._joined is None:
+            self._joined, sizes = _join(list(self._rows.items()))
+            track = np.repeat(np.arange(len(sizes)), sizes)
+            self._joined.update(ids=list(self._rows), track=track, starts=np.cumsum(sizes) - sizes)
+        return self._joined
+
+    def save(self, path: str | Path, kind: str, meta: dict) -> None:
+        write_tracks(path, kind, list(self._rows.items()), meta)
+
+
+def _join(runs: list) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Each name's rows of every run, concatenated, and each run's row count."""
+    if not runs:
+        raise DataError("empty track table")
+    sizes = np.array([len(next(iter(rows.values()))) for _, rows in runs])
+    return {name: np.concatenate([rows[name] for _, rows in runs]) for name in runs[0][1]}, sizes
+
+
+def write_tracks(path: str | Path, kind: str, runs: list, meta: dict) -> None:
+    """Write ``(track_id, {name: rows})`` runs, in which an id may recur, as
+    one array per name and each run's ``[track_id, row count]`` in
+    ``meta["tracks"]``."""
+    arrays, sizes = _join(runs)
+    tracks = [[tid, n] for (tid, _), n in zip(runs, sizes.tolist())]
+    write(path, kind, arrays, {**meta, "tracks": tracks})
+
+
+def read_tracks(path: str | Path, kind: str) -> tuple[list, dict]:
+    """Inverse of :func:`write_tracks`: the runs in file order, and the meta.
+
+    Raises :class:`DecodeError` unless ``meta["tracks"]`` is a non-empty list
+    of ``[track_id, row count]`` pairs whose counts sum to every array's row
+    count.
     """
-    runs = meta.get("tracks")
-    ok = isinstance(runs, list) and runs and all(
+    arrays, meta = read(path, kind)
+    table = meta.get("tracks")
+    ok = isinstance(table, list) and table and all(
         isinstance(r, list) and len(r) == 2 and isinstance(r[0], str)
         and type(r[1]) is int and r[1] >= 0
-        for r in runs
+        for r in table
     )
-    if not ok or sum(n for _, n in runs) != n_rows:
-        raise DecodeError(f"track table does not match the {n_rows} stored rows")
-    return runs
+    ends = list(itertools.accumulate(n for _, n in table)) if ok else []
+    if not ok or any(a.shape[:1] != (ends[-1],) for a in arrays.values()):
+        raise DecodeError(f"{path}: track table does not match the stored rows")
+    runs = [(tid, {k: a[end - n : end] for k, a in arrays.items()})
+            for (tid, n), end in zip(table, ends)]
+    return runs, meta

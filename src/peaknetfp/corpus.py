@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .signal.audio import DEFAULT_SAMPLE_RATE, write_wav
 
 TRACK_SECONDS = 30.0
@@ -36,6 +37,9 @@ def make_track(index: int, seconds: float = TRACK_SECONDS, seed: int = 0) -> np.
     """One synthetic track at ``DEFAULT_SAMPLE_RATE``; a pure function of
     (index, seconds, seed)."""
     sample_rate = DEFAULT_SAMPLE_RATE
+    if seed < 0 or not 1 / sample_rate <= seconds < np.inf:
+        raise ConfigError(f"need seed >= 0 and a finite length of at least one sample, "
+                          f"got seed {seed}, seconds {seconds}")
     rng = np.random.default_rng([seed, 7000 + index])
     n = int(round(seconds * sample_rate))
     t = np.arange(n) / sample_rate
@@ -115,10 +119,11 @@ def write_corpus(
     seed: int = 0,
 ) -> list[Path]:
     """Write the corpus as wav files; returns the paths in track order."""
+    tracks = make_corpus(n_tracks, seconds, seed)  # refuses bad arguments before any write
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for name, samples in make_corpus(n_tracks, seconds, seed):
+    for name, samples in tracks:
         path = out / f"{name}.wav"
         write_wav(path, samples)
         paths.append(path)

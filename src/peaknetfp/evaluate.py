@@ -63,6 +63,8 @@ class EvalConfig(JsonConfig):
             raise ConfigError(f"unknown backend {self.backend!r}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def config_hash(self) -> str:
         raw = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
@@ -167,14 +169,12 @@ def run_sweep(
     Track samples are taken to be at ``DEFAULT_SAMPLE_RATE``, the rate of
     the one front end both systems read audio with.
     """
-    if cfg.system == "peaknetfp":
-        if model is None or db is None:
-            raise ConfigError("peaknetfp evaluation needs a model and a database")
-        missing = [tid for tid, _ in tracks if tid not in db.track_ids]
-    else:
-        if quad_db is None:
-            raise ConfigError("quadfp evaluation needs a quad database")
-        missing = [tid for tid, _ in tracks if tid not in quad_db.track_ids]
+    if cfg.system == "peaknetfp" and (model is None or db is None):
+        raise ConfigError("peaknetfp evaluation needs a model and a database")
+    if cfg.system == "quadfp" and quad_db is None:
+        raise ConfigError("quadfp evaluation needs a quad database")
+    known = (db if cfg.system == "peaknetfp" else quad_db).tracks.rows
+    missing = [tid for tid, _ in tracks if tid not in known]
     if missing:
         raise DataError(f"tracks absent from the reference database: {missing[:3]}")
 

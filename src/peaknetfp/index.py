@@ -77,8 +77,7 @@ class FingerprintDB:
     def __init__(self, meta: dict | None = None):
         self.dim: int | None = None  # set by the first track
         self.meta = dict(meta or {})
-        self._blocks: dict[str, np.ndarray] = {}  # in insertion order
-        self._cache: dict | None = None
+        self.tracks = container.TrackTable()  # one "matrix" block per track
 
     # -- construction -------------------------------------------------------
 
@@ -95,43 +94,22 @@ class FingerprintDB:
         norms = np.linalg.norm(v, axis=1)
         if not (np.abs(norms - 1.0) <= 1e-3).all():  # NaN rows fail too
             raise ContractError(f"track {track_id!r}: fingerprints must be unit-norm")
-        if track_id in self._blocks:
-            raise DataError(f"duplicate track id {track_id!r}")
-        self._blocks[track_id] = v.copy()
-        self._cache = None
-
-    # -- layout -------------------------------------------------------------
-
-    def _layout(self) -> dict:
-        if self._cache is None:
-            if not self._blocks:
-                raise DataError("empty fingerprint database")
-            sizes = [b.shape[0] for b in self._blocks.values()]
-            starts = np.concatenate([[0], np.cumsum(sizes)])
-            self._cache = {
-                "ids": list(self._blocks),
-                "matrix": np.concatenate(list(self._blocks.values()), axis=0),
-                "starts": starts.astype(np.int64),
-                "row_track": np.repeat(
-                    np.arange(len(sizes), dtype=np.int64), sizes
-                ),
-            }
-        return self._cache
+        self.tracks.add(track_id, {"matrix": v.copy()})
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._layout()["matrix"]
+        return self.tracks.joined()["matrix"]
 
     @property
     def n_rows(self) -> int:
-        return int(self._layout()["matrix"].shape[0])
+        return int(self.matrix.shape[0])
 
     @property
     def track_ids(self) -> list[str]:
-        return list(self._blocks)
+        return list(self.tracks.rows)
 
     def track_vectors(self, track_id: str) -> np.ndarray:
-        return self._blocks[track_id]
+        return self.tracks.rows[track_id]["matrix"]
 
     # -- exact retrieval ----------------------------------------------------
 
@@ -150,18 +128,15 @@ class FingerprintDB:
     # -- serialization ------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        tracks = [[tid, len(b)] for tid, b in self._blocks.items()]
-        meta = {"info": self.meta, "tracks": tracks}
-        container.write(path, DB_KIND, {"matrix": self._layout()["matrix"]}, meta)
+        self.tracks.save(path, DB_KIND, {"info": self.meta})
 
     @classmethod
     def load(cls, path: str | Path) -> "FingerprintDB":
-        arrays, meta = container.read(path, DB_KIND)
+        runs, meta = container.read_tracks(path, DB_KIND)
         try:
-            matrix, db, start = arrays["matrix"], cls(meta=meta["info"]), 0
-            for tid, n in container.track_runs(meta, len(matrix)):
-                db.add_track(tid, matrix[start : start + n])
-                start += n
+            db = cls(meta=meta["info"])
+            for tid, rows in runs:
+                db.add_track(tid, rows["matrix"])
         except (LookupError, TypeError, ValueError, DataError, ContractError) as exc:
             raise DecodeError(f"{path}: inconsistent fingerprint database: {exc}") from exc
         return db
@@ -256,6 +231,8 @@ class IVFPQIndex:
     ) -> "IVFPQIndex":
         if any(p is not None and p < 1 for p in (m, n_list, n_probe)):
             raise ConfigError(f"need m, n_list, n_probe >= 1, got {m}, {n_list}, {n_probe}")
+        if seed < 0:
+            raise ConfigError(f"need seed >= 0, got {seed}")
         v = db.matrix.astype(np.float64)
         n, dim = v.shape
         if dim % m:
@@ -379,10 +356,10 @@ def sequence_match(
         raise DataError("queries must be 2-D (segments x dim)")
     rows, _ = (backend or db).search(q, k)
     q64 = q.astype(np.float64)  # converted once for every alignment_score call
-    lay = db._layout()
+    lay = db.tracks.joined()
     seg_i, col = np.nonzero(rows >= 0)  # a backend pads rows it never reached with -1
     hit = rows[seg_i, col]
-    track = lay["row_track"][hit]
+    track = lay["track"][hit]
     offset = hit - lay["starts"][track] - seg_i
     scored = []
     for ti, off in np.unique(np.stack([track, offset], axis=1), axis=0).tolist():

@@ -171,72 +171,43 @@ class QuadDB:
 
     def __init__(self, meta: dict | None = None):
         self.meta = dict(meta or {})
-        # track id -> {"hash", "t0", "dt"} arrays, in insertion order
-        self._quads: dict[str, dict[str, np.ndarray]] = {}
-        self._index: dict | None = None
+        self.tracks = container.TrackTable()  # "hash", "t0", "dt" per track
 
     @property
     def track_ids(self) -> list[str]:
-        return list(self._quads)
+        return list(self.tracks.rows)
 
     @property
     def n_quads(self) -> int:
-        return sum(q["hash"].shape[0] for q in self._quads.values())
+        return sum(len(rows["hash"]) for rows in self.tracks.rows.values())
 
     def add_track(self, track_id: str, samples: np.ndarray) -> None:
-        if track_id in self._quads:
-            raise DataError(f"duplicate track id {track_id!r}")
         spec = melspectrogram(np.asarray(samples, dtype=np.float32))
         quads = enumerate_quads(spectrogram_peaks(spec), REF_QUADS_PER_SECOND)
         self.add_track_quads(track_id, quads)
 
     def add_track_quads(self, track_id: str, quads: dict[str, np.ndarray]) -> None:
-        if track_id in self._quads:
-            raise DataError(f"duplicate track id {track_id!r}")
-        arrays = {
-            "hash": np.asarray(quads["hash"], dtype=np.float64),
-            "t0": np.asarray(quads["t0"], dtype=np.float64).reshape(-1),
-            "dt": np.asarray(quads["dt"], dtype=np.float64).reshape(-1),
-        }
-        if arrays["hash"].ndim != 2 or arrays["hash"].shape[1] != 4:
-            raise DataError(f"track {track_id!r}: hash must be (n, 4), got {arrays['hash'].shape}")
-        if not len(arrays["hash"]) == len(arrays["t0"]) == len(arrays["dt"]):
+        arrays = {key: np.asarray(quads[key], dtype=np.float64) for key in ("hash", "t0", "dt")}
+        hashes, t0, dt = arrays.values()
+        if hashes.ndim != 2 or hashes.shape[1] != 4:
+            raise DataError(f"track {track_id!r}: hash must be (n, 4), got {hashes.shape}")
+        if not t0.shape == dt.shape == (len(hashes),):
             raise DataError(f"track {track_id!r}: quad arrays disagree in length")
         if not all(np.isfinite(a).all() for a in arrays.values()):
             raise DataError(f"track {track_id!r}: quad values must be finite")
-        self._quads[track_id] = arrays
-        self._index = None
-
-    def _arrays(self) -> dict[str, np.ndarray]:
-        """Every track's quad arrays, concatenated in insertion order."""
-        quads = self._quads.values()
-        return {key: np.concatenate([q[key] for q in quads]) for key in ("hash", "t0", "dt")}
+        self.tracks.add(track_id, arrays)
 
     # -- lookup ---------------------------------------------------------------
-
-    def _layout(self) -> dict:
-        if self._index is None:
-            if not self._quads:
-                raise DataError("empty quad database")
-            sizes = [q["hash"].shape[0] for q in self._quads.values()]
-            arrays = self._arrays()
-            self._index = {
-                **arrays,
-                "ids": list(self._quads),
-                "track": np.repeat(
-                    np.arange(len(sizes), dtype=np.int64), sizes
-                ),
-                "tree": KDTree(arrays["hash"]),
-            }
-        return self._index
 
     def candidates(self, query_hash: np.ndarray) -> np.ndarray:
         """Quad ids within +-HASH_EPSILON of the query hash, ascending: the rows
         ``box_matches`` returns, found by a KD-tree query in the max norm."""
         if not np.isfinite(query_hash).all():
             raise DataError("query hash must be finite")
-        tree = self._layout()["tree"]
-        found = tree.query_ball_point(query_hash, HASH_EPSILON, p=np.inf, return_sorted=True)
+        lay = self.tracks.joined()
+        if "tree" not in lay:  # a new track drops the joined layout and its tree
+            lay["tree"] = KDTree(lay["hash"])
+        found = lay["tree"].query_ball_point(query_hash, HASH_EPSILON, p=np.inf, return_sorted=True)
         return np.asarray(found, dtype=np.int64)
 
     def query_quads(self, samples: np.ndarray) -> dict[str, np.ndarray]:
@@ -248,7 +219,7 @@ class QuadDB:
         return self.match_quads(self.query_quads(samples))
 
     def match_quads(self, quads: dict[str, np.ndarray]) -> list[QuadMatch]:
-        lay = self._layout()
+        lay = self.tracks.joined()
         hits = [self.candidates(np.asarray(h, dtype=np.float64)) for h in quads["hash"]]
         qi = np.concatenate([np.zeros(0, dtype=np.int64), *hits])
         owner = np.repeat(np.arange(len(hits)), [ids.size for ids in hits])  # query quad per hit
@@ -275,31 +246,20 @@ class QuadDB:
     # -- serialization ----------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        if not self._quads:
-            raise DataError("empty quad database")
-        tracks = [[tid, len(q["hash"])] for tid, q in self._quads.items()]
-        meta = {"info": self.meta, "epsilon": HASH_EPSILON, "tracks": tracks}
-        meta["spectrogram"] = SPECTROGRAM
-        container.write(path, QUAD_KIND, self._arrays(), meta)
+        meta = {"info": self.meta, "epsilon": HASH_EPSILON, "spectrogram": SPECTROGRAM}
+        self.tracks.save(path, QUAD_KIND, meta)
 
     @classmethod
     def load(cls, path: str | Path) -> "QuadDB":
-        arrays, meta = container.read(path, QUAD_KIND)
+        runs, meta = container.read_tracks(path, QUAD_KIND)
         try:
-            hashes, t0, dt = arrays["hash"], arrays["t0"], arrays["dt"]
-            total = len(t0)
-            if (hashes.shape, t0.shape, dt.shape) != ((total, 4), (total,), (total,)):
-                raise DataError("quad arrays disagree in length")
             if meta["spectrogram"] != SPECTROGRAM:
                 raise DataError(f"front end {meta['spectrogram']!r} is not {SPECTROGRAM!r}")
             if meta["epsilon"] != HASH_EPSILON:
                 raise DataError(f"hash epsilon {meta['epsilon']!r} is not {HASH_EPSILON!r}")
             db = cls(meta=meta["info"])
-            start = 0
-            for tid, n in container.track_runs(meta, total):
-                sl = slice(start, start + n)
-                db.add_track_quads(tid, {"hash": hashes[sl], "t0": t0[sl], "dt": dt[sl]})
-                start += n
+            for tid, rows in runs:
+                db.add_track_quads(tid, rows)
         except (LookupError, TypeError, ValueError, DataError) as exc:
             raise DecodeError(f"{path}: inconsistent quad database: {exc}") from exc
         return db

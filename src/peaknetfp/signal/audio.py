@@ -24,6 +24,9 @@ from ..errors import ConfigError, DataError, ShapeError
 log = logging.getLogger(__name__)
 
 DEFAULT_SAMPLE_RATE = 8000
+# the highest WAV rate load_audio resamples from; resample_poly's filter
+# grows with the rate ratio, so a bogus header rate could exhaust memory
+MAX_SAMPLE_RATE = 384_000
 
 # WSOLA geometry at DEFAULT_SAMPLE_RATE: a 40 ms window (an even sample
 # count) searched +-10 ms around its natural position.
@@ -55,7 +58,10 @@ def _samples(samples: np.ndarray) -> np.ndarray:
 
 
 def load_audio(path: str | Path) -> np.ndarray:
-    """Read a PCM WAV file, mix to mono, and resample to ``DEFAULT_SAMPLE_RATE``."""
+    """Read a PCM WAV file, mix to mono, and resample to ``DEFAULT_SAMPLE_RATE``.
+
+    A header rate of 0 or above ``MAX_SAMPLE_RATE`` is a :class:`DataError`.
+    """
     path = Path(path)
     try:
         with wave.open(str(path), "rb") as wf:
@@ -66,6 +72,8 @@ def load_audio(path: str | Path) -> np.ndarray:
             raw = wf.readframes(n_frames)
     except (wave.Error, EOFError, OSError) as exc:
         raise DataError(f"cannot read WAV file {path}: {exc}") from exc
+    if not 0 < rate <= MAX_SAMPLE_RATE:
+        raise DataError(f"{path}: WAV sample rate {rate} Hz is not in 1..{MAX_SAMPLE_RATE} Hz")
     x = _to_float(raw, sampwidth)
     if n_channels > 1:
         x = x.reshape(-1, n_channels).mean(axis=1)

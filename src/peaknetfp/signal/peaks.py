@@ -105,32 +105,31 @@ class PeakEntry:
 
 
 def write_peaks(path: str | Path, entries: list[PeakEntry]) -> None:
-    """Peak file: every cloud, its segment index and runs of track ids."""
+    """Peak file: every cloud and its segment index, in runs of track ids."""
     if not entries:
         raise DataError("refusing to write an empty peak file")
     n_peaks = entries[0].points.shape[0]
     if any(e.points.shape != (n_peaks, 3) for e in entries):
         raise ShapeError(f"peak file clouds must all have shape ({n_peaks}, 3)")
-    ids = (e.track_id for e in entries)
-    tracks = [[tid, len(list(run))] for tid, run in itertools.groupby(ids)]
-    arrays = {
-        "points": np.stack([e.points for e in entries]).astype("<f4", copy=False),
-        "segment": np.array([e.segment_index for e in entries], dtype="<u8"),
-    }
-    container.write(path, PEAKS_KIND, arrays, {"tracks": tracks})
+    runs = []
+    for tid, run in itertools.groupby(entries, key=lambda e: e.track_id):
+        run = list(run)
+        points = np.stack([e.points for e in run]).astype("<f4", copy=False)
+        segment = np.array([e.segment_index for e in run], dtype="<u8")
+        runs.append((tid, {"points": points, "segment": segment}))
+    container.write_tracks(path, PEAKS_KIND, runs, {})
 
 
 def read_peaks(path: str | Path) -> list[PeakEntry]:
     """Inverse of write_peaks."""
-    arrays, meta = container.read(path, PEAKS_KIND)
+    runs, _ = container.read_tracks(path, PEAKS_KIND)
+    entries = []
     try:
-        points, segment = arrays["points"], arrays["segment"]
-        n = len(segment)
-        if (points.dtype, points.ndim, points.shape[::2], segment.shape) != (
-            np.float32, 3, (n, 3), (n,)
-        ):
-            raise DataError("cloud and segment arrays disagree in dtype or shape")
-        ids = [tid for tid, count in container.track_runs(meta, n) for _ in range(count)]
+        for tid, rows in runs:
+            points, segment = rows["points"], rows["segment"]
+            if (points.dtype, points.shape[2:], segment.ndim) != (np.float32, (3,), 1):
+                raise DataError("cloud and segment arrays disagree in dtype or shape")
+            entries += [PeakEntry(tid, int(seg), pts) for seg, pts in zip(segment, points)]
     except (KeyError, TypeError, DataError) as exc:
         raise DecodeError(f"{path}: inconsistent peak file: {exc}") from exc
-    return [PeakEntry(tid, int(seg), pts) for tid, seg, pts in zip(ids, segment, points)]
+    return entries

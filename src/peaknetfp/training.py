@@ -61,6 +61,8 @@ class TrainConfig(JsonConfig):
             raise ConfigError("epochs must be >= 0, steps_per_epoch >= 1")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 class SegmentDataset:

@@ -10,6 +10,7 @@ import pytest
 from peaknetfp import cli, container
 from peaknetfp.cli import main
 from peaknetfp.encoder import CHECKPOINT, DEFAULT_CONFIG, EncoderConfig, checkpoint_id
+from peaknetfp.errors import TrainingDiverged
 from peaknetfp.index import FingerprintDB
 from peaknetfp.quadfp import QUAD_KIND, QuadDB
 from peaknetfp.signal.audio import load_audio, stretch_audio
@@ -107,6 +108,25 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_diverged_training_exits_2_naming_the_dump(
+        self, eval_rig, tmp_path, monkeypatch, capsys
+    ):
+        dump = tmp_path / "m.nan-dump.ckpt"
+
+        def diverge(*args, **kwargs):
+            raise TrainingDiverged(f"non-finite loss at epoch 0 step 1; state dumped to {dump}")
+
+        monkeypatch.setattr(cli, "SegmentDataset", lambda tracks: None)
+        monkeypatch.setattr(cli, "train", diverge)
+        argv = ["train", "--audio", str(eval_rig.wav_dir), "-o", str(tmp_path / "m.ckpt")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(dump) in err
+
+    def test_refused_corpus_writes_nothing(self, tmp_path):
+        assert main(["make-corpus", "--out", str(tmp_path / "c"), "--seed", "-1"]) == 2
+        assert not (tmp_path / "c").exists()
+
     def test_evaluate_without_artifacts_is_config_error(self, eval_rig, tmp_path):
         code = main(
             ["evaluate", "--audio", str(eval_rig.wav_dir), "-o", str(tmp_path / "r.jsonl")]
@@ -179,6 +199,16 @@ def _config_with(rig, tmp_path, raw):
             "--db", str(rig.quad_path), "-o", str(tmp_path / "r.jsonl")]
 
 
+def _make_corpus(rig, tmp_path, flags):
+    return ["make-corpus", "--out", str(tmp_path / "corpus"), "--n-tracks", "1", *flags]
+
+
+def _build_index(rig, tmp_path, flags):
+    db_path = tmp_path / "fp.db"
+    shutil.copy(rig.db_path, db_path)
+    return ["build-index", "--db", str(db_path), "--ivfpq", *flags]
+
+
 BAD_INPUTS = {  # case -> (argv builder, bad value, text the error line names)
     "epsilon-nan": (_quad_db_with_epsilon, float("nan"), "epsilon"),
     "epsilon-true": (_quad_db_with_epsilon, True, "epsilon"),
@@ -192,6 +222,12 @@ BAD_INPUTS = {  # case -> (argv builder, bad value, text the error line names)
     "train-int-given-2.5": (_config_with, {"train": {"pairs_per_batch": 2.5}}, "pairs_per_batch"),
     "offset-nan": (_quad_query, ["--offset", "nan"], "finite"),
     "len-inf": (_quad_query, ["--len", "inf"], "finite"),
+    "train-seed--1": (_config_with, {"train": {"seed": -1}}, "seed"),
+    "eval-seed--1": (_config_with, {"seed": -1}, "seed"),
+    "ivfpq-seed--1": (_build_index, ["--seed", "-1"], "seed"),
+    "corpus-seed--1": (_make_corpus, ["--seed", "-1"], "seed"),
+    "corpus-seconds--5": (_make_corpus, ["--seconds", "-5"], "seconds"),
+    "corpus-seconds-0": (_make_corpus, ["--seconds", "0"], "seconds"),
 }
 
 

@@ -350,7 +350,7 @@ class TestLookup:
 
 def loop_match_quads(db: QuadDB, quads: dict) -> list[QuadMatch]:
     """``match_quads`` as a loop over every box hit, voting into a dict."""
-    lay = db._layout()
+    lay = db.tracks.joined()
     votes: dict[tuple, int] = defaultdict(int)
     log_lo, log_hi = np.log2(STRETCH_MIN), np.log2(STRETCH_MAX)
     for h, t0_q, dt_q in zip(quads["hash"], quads["t0"], quads["dt"]):
@@ -449,7 +449,7 @@ class TestVotingCascade:
                     "dt": rng.integers(2, 8, size=n) / 4.0,
                 },
             )
-        lay = db._layout()
+        lay = db.tracks.joined()
         m = 300
         pick = rng.integers(0, len(lay["t0"]), size=m)
         stretch = rng.choice([0.3, 0.45, 0.5, 0.8, 1.0, 1.25, 2.0, 2.2, 3.0], size=m)
@@ -534,8 +534,8 @@ class TestSerialization:
         assert back.track_ids == db.track_ids
         assert back.meta["note"] == "x"
         assert back.n_quads == db.n_quads
-        np.testing.assert_array_equal(back._layout()["hash"], db._layout()["hash"])
-        np.testing.assert_array_equal(back._layout()["dt"], db._layout()["dt"])
+        np.testing.assert_array_equal(back.tracks.joined()["hash"], db.tracks.joined()["hash"])
+        np.testing.assert_array_equal(back.tracks.joined()["dt"], db.tracks.joined()["dt"])
 
     def test_stored_front_end_is_byte_stable(self, tmp_path):
         # the fixed front end as every quad.db stores it, so older files keep loading

@@ -6,6 +6,7 @@ under test.
 """
 from __future__ import annotations
 
+import struct
 import wave
 
 import numpy as np
@@ -13,7 +14,13 @@ import pytest
 
 from peaknetfp import reference as ref
 from peaknetfp.errors import ConfigError, DataError, DecodeError, ShapeError
-from peaknetfp.signal.audio import load_audio, segment_clip, stretch_audio, write_wav
+from peaknetfp.signal.audio import (
+    MAX_SAMPLE_RATE,
+    load_audio,
+    segment_clip,
+    stretch_audio,
+    write_wav,
+)
 from peaknetfp.signal.peaks import (
     PeakEntry,
     extract_peaks,
@@ -42,6 +49,14 @@ def write_pcm16(path, x: np.ndarray, rate: int, channels: int = 1) -> None:
         wf.setsampwidth(2)
         wf.setframerate(rate)
         wf.writeframes((x * 32767).astype("<i2").tobytes())
+
+
+def pcm16_wav_bytes(pcm: np.ndarray, rate: int) -> bytes:
+    """A mono 16-bit WAV whose header states ``rate``, whatever it is."""
+    data = pcm.astype("<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate % 2**32, 2, 16)
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data))
+    return b"RIFF" + struct.pack("<I", len(body) + len(data)) + body + data
 
 
 class TestLoadAudio:
@@ -77,6 +92,20 @@ class TestLoadAudio:
     def test_missing_file_raises_data_error(self, tmp_path):
         with pytest.raises(DataError):
             load_audio(tmp_path / "nope.wav")
+
+    @pytest.mark.parametrize("rate", [0, MAX_SAMPLE_RATE + 1, 2**32 - 1])
+    def test_header_rate_out_of_range_is_data_error(self, tmp_path, rate):
+        # hand-built: the wave module reads any u32 rate but writes no rate 0;
+        # 2**32 - 1 would ask resample_poly for a ~1.7e10-tap filter
+        path = tmp_path / "bad.wav"
+        path.write_bytes(pcm16_wav_bytes(np.zeros(80, dtype="<i2"), rate))
+        with pytest.raises(DataError, match="sample rate"):
+            load_audio(path)
+
+    def test_header_rate_at_the_ceiling_loads(self, tmp_path):
+        path = tmp_path / "top.wav"
+        path.write_bytes(pcm16_wav_bytes(np.zeros(4800, dtype="<i2"), MAX_SAMPLE_RATE))
+        assert load_audio(path).shape == (100,)
 
 
 class TestStretchAudio:
@@ -286,6 +315,21 @@ class TestPeakFiles:
             ("trackA", 0),
             ("trackA", 1),
             ("b/track-2", 7),
+        ]
+        for a, b in zip(entries, back):
+            np.testing.assert_array_equal(a.points, b.points)
+
+    def test_track_id_may_come_back_in_a_later_run(self, tmp_path):
+        entries = self._entries()
+        entries.append(PeakEntry("trackA", 5, entries[0].points * 0.5))
+        p = tmp_path / "peaks.bin"
+        write_peaks(p, entries)
+        back = read_peaks(p)
+        assert [(e.track_id, e.segment_index) for e in back] == [
+            ("trackA", 0),
+            ("trackA", 1),
+            ("b/track-2", 7),
+            ("trackA", 5),
         ]
         for a, b in zip(entries, back):
             np.testing.assert_array_equal(a.points, b.points)
