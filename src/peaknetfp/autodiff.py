@@ -5,16 +5,16 @@ dense matmul and the fused linear layer, same-shape add/sub/mul, scalar
 mul, transpose, relu, concat, max/sum reductions, log-softmax, row L2
 normalization, reshape, row gathering, scale-and-shift, and batch
 normalization.
-Each MLP layer runs as one fused node with a hand-written backward that does
-its composition's arithmetic in its order, so outputs and gradients equal the
-composition's bit for bit: in training ``mlp_layer`` =
-relu(batch_norm(matmul(...))), in inference ``frozen_mlp_layer`` =
-relu(scale_bias(matmul(...))) with the affine of the frozen statistics, which
-untaped runs in place on the matmul output. A normalized layer has no bias:
-BatchNorm's mean subtraction would cancel it. ``batch_norm``, ``scale_bias``
-and ``relu`` stay: they are the references the fused layers are tested against,
-and the benchmark's tracer wraps ops by name. The final projection uses
-``linear``.
+Each MLP layer runs as one fused op that does its composition's arithmetic
+in its order, so it equals the composition bit for bit. In training,
+``mlp_layer`` = relu(batch_norm(matmul(...))) is one taped node with a
+hand-written backward. In inference, ``frozen_mlp_layer`` =
+relu(scale_bias(matmul(...))) with the affine of the frozen statistics runs
+in place on the matmul output and builds no tape: inference never tapes. A
+normalized layer has no bias: BatchNorm's mean subtraction would cancel it.
+``batch_norm``, ``scale_bias`` and ``relu`` stay: they are the references the
+fused layers are tested against, and the benchmark's tracer wraps ops by name.
+The final projection uses ``linear``.
 Gradients flow through a recorded tape of closures, replayed in reverse
 topological order. float32 is the working dtype; float64 inputs are honored
 (gradient checks run the whole stack in float64).
@@ -499,36 +499,22 @@ def mlp_layer(
 def frozen_mlp_layer(
     x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, rmean: np.ndarray, rvar: np.ndarray
 ) -> Tensor:
-    """relu(scale_bias(matmul(x, w), scale, shift)) as one node (inference mode).
+    """relu(scale_bias(matmul(x, w), scale, shift)) as one untaped op (inference mode).
 
     Frozen BatchNorm is the affine ``scale = gamma / sqrt(rvar + eps)``,
-    ``shift = beta - rmean * scale``. Untaped, it and the ReLU run in place on
-    the matmul output, one activation per layer instead of three; taped, the
-    matmul output is kept for ``scale``'s gradient. Every bit matches the
-    composition.
+    ``shift = beta - rmean * scale``; it and the ReLU run in place on the
+    matmul output, one activation per layer instead of three. Inference builds
+    no tape: the result never requires grad, whatever its operands do. Every
+    bit matches the composition.
     """
     _check_layer("frozen_mlp_layer", x, w, gamma.data, beta.data, rmean, rvar)
     inv = (1.0 / np.sqrt(rvar.astype(np.float64) + BN_EPS)).astype(gamma.data.dtype)
     scale = gamma.data * inv
-    shift = beta.data - rmean * scale
-    taped = _grad_enabled and any(t.requires_grad for t in (x, w, gamma, beta))
-    z = x.data @ w.data
-    out_data = z * scale if taped else np.multiply(z, scale, out=z)
-    out_data += shift
-    np.maximum(out_data, 0, out=out_data)
-
-    def back():
-        g = out.grad * (out_data > 0)
-        g_shift = g.sum(axis=0)
-        _accumulate(beta, g_shift)
-        _accumulate(gamma, ((g * z).sum(axis=0) + -g_shift * rmean) * inv)
-        g = g * scale
-        if x.requires_grad:  # the first layers take constant coordinates
-            _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.T @ g)
-
-    out = _make(out_data, (x, w, gamma, beta), back)
-    return out
+    out = x.data @ w.data
+    out *= scale
+    out += beta.data - rmean * scale
+    np.maximum(out, 0, out=out)
+    return Tensor(out)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

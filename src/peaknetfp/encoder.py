@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from . import container
 from .config import JsonConfig
 from .errors import ConfigError, DecodeError, ShapeError
 from .index import smallest_k
+from .signal.peaks import strength_order
 
 log = logging.getLogger(__name__)
 
@@ -144,8 +146,7 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     p = np.asarray(points)
     if p.ndim != 2 or p.shape[1] != 3:
         raise ShapeError(f"expected (n, 3) points, got {p.shape}")
-    order = np.lexsort((p[:, 1], p[:, 0], -p[:, 2]))
-    return p[order]
+    return p[strength_order(p[:, 0], p[:, 1], p[:, 2])]
 
 
 def sample_anchors(points: np.ndarray, n_anchors: int) -> np.ndarray:
@@ -153,7 +154,7 @@ def sample_anchors(points: np.ndarray, n_anchors: int) -> np.ndarray:
     p = np.asarray(points)
     if n_anchors > p.shape[0]:
         raise ShapeError(f"cannot sample {n_anchors} anchors from {p.shape[0]} points")
-    return np.lexsort((p[:, 1], p[:, 0], -p[:, 2]))[:n_anchors]
+    return strength_order(p[:, 0], p[:, 1], p[:, 2])[:n_anchors]
 
 
 def query_ball_groups(
@@ -273,7 +274,7 @@ class PeakEncoder:
                 self.running[f"{p}.rmean"] += (BN_MOMENTUM * (mu - self.running[f"{p}.rmean"])).astype(self.dtype)
                 self.running[f"{p}.rvar"] += (BN_MOMENTUM * (var - self.running[f"{p}.rvar"])).astype(self.dtype)
             else:
-                # rebinding h lets no_grad free each layer's input as it goes
+                # rebinding h frees each layer's input as it goes
                 h = ad.frozen_mlp_layer(
                     h, w, gamma, beta, self.running[f"{p}.rmean"], self.running[f"{p}.rvar"]
                 )
@@ -310,7 +311,11 @@ class PeakEncoder:
         return new_xyz, ad.concat(outs, axis=1)
 
     def encode(self, clouds: np.ndarray, training: bool = False) -> ad.Tensor:
-        """Embed a batch of clouds; returns a (batch, embed_dim) tensor."""
+        """Embed a batch of clouds; returns a (batch, embed_dim) tensor.
+
+        Inference (``training=False``) applies the frozen statistics under
+        ``no_grad``: it builds no tape, and its result never requires grad.
+        """
         x = np.asarray(clouds, dtype=self.dtype)
         if x.ndim == 2:
             x = x[None]
@@ -320,20 +325,22 @@ class PeakEncoder:
             raise ShapeError(
                 f"cloud has {x.shape[1]} points, need >= {self.config.stage1.n_anchors}"
             )
-        xyz = np.stack([canonical_order(c) for c in x])
-        xyz, feats = self._stage(xyz, None, self.config.stage1, "s1", training)
-        xyz, feats = self._stage(xyz, feats, self.config.stage2, "s2", training)
-        b_sz, n, _ = xyz.shape
-        h = ad.concat([ad.constant(xyz.reshape(-1, 3)), feats], axis=1)
-        h = self._mlp(h, "g", self.config.global_mlp[:-1], training)
-        h = ad.reshape(h, (b_sz, n, int(h.data.shape[1])))
-        pooled = ad.reduce_max(h, axis=1)
-        li = len(self.config.global_mlp) - 1
-        out = ad.linear(pooled, self.params[f"g.l{li}.w"], self.params[f"g.l{li}.b"])
-        return ad.l2_normalize(out, axis=1)
+        with nullcontext() if training else ad.no_grad():
+            xyz = np.stack([canonical_order(c) for c in x])
+            xyz, feats = self._stage(xyz, None, self.config.stage1, "s1", training)
+            xyz, feats = self._stage(xyz, feats, self.config.stage2, "s2", training)
+            b_sz, n, _ = xyz.shape
+            h = ad.concat([ad.constant(xyz.reshape(-1, 3)), feats], axis=1)
+            h = self._mlp(h, "g", self.config.global_mlp[:-1], training)
+            h = ad.reshape(h, (b_sz, n, int(h.data.shape[1])))
+            pooled = ad.reduce_max(h, axis=1)
+            li = len(self.config.global_mlp) - 1
+            out = ad.linear(pooled, self.params[f"g.l{li}.w"], self.params[f"g.l{li}.b"])
+            return ad.l2_normalize(out, axis=1)
 
     def fingerprints(self, clouds: np.ndarray) -> np.ndarray:
-        """Unit-norm fingerprints for many clouds, float32 (inference mode).
+        """Unit-norm float32 fingerprints for many clouds: the one inference
+        entry point, untaped like ``encode(training=False)``.
 
         The clouds go through ``ceil(n / INFER_BATCH)`` forward passes of
         near-equal size, which differ by at most one cloud. Two or more clouds
@@ -345,11 +352,10 @@ class PeakEncoder:
         if x.ndim == 2:
             x = x[None]
         n_chunks = -(-x.shape[0] // INFER_BATCH)
-        with ad.no_grad():
-            chunks = [
-                self.encode(chunk, training=False).data.astype(np.float32)
-                for chunk in np.array_split(x, n_chunks)
-            ]
+        chunks = [
+            self.encode(chunk, training=False).data.astype(np.float32)
+            for chunk in np.array_split(x, n_chunks)
+        ]
         out = np.concatenate(chunks, axis=0)
         # a silent/degenerate segment can collapse to the zero vector before
         # normalization; give it a fixed unit direction so the norm contract
@@ -359,9 +365,6 @@ class PeakEncoder:
             out[dead] = 0.0
             out[dead, 0] = 1.0
         return out
-
-    def fingerprint(self, cloud: np.ndarray) -> np.ndarray:
-        return self.fingerprints(np.asarray(cloud)[None])[0]
 
     # -- persistence ------------------------------------------------------
 

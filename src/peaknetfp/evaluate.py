@@ -115,9 +115,12 @@ def cut_query(
     return np.pad(out, (0, size - out.size))
 
 
+# the columns of a report's CSV, which are the keys of its cells
+CSV_COLUMNS = ("system", "factor", "length", "n_queries", "hits", "hr_at_1")
+
+
 @dataclass
 class EvalReport:
-    config: EvalConfig
     metadata: dict
     cells: list = field(default_factory=list)
 
@@ -136,18 +139,9 @@ class EvalReport:
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["system", "factor", "length", "n_queries", "hits", "hr_at_1"])
+            w.writerow(CSV_COLUMNS)
             for c in self.cells:
-                w.writerow(
-                    [
-                        c["system"],
-                        c["factor"],
-                        c["length"],
-                        c["n_queries"],
-                        c["hits"],
-                        c["hr_at_1"],
-                    ]
-                )
+                w.writerow([c[k] for k in CSV_COLUMNS])
 
 
 def _rank_tracks_peaknetfp(model, db, backend, query_audio, k):
@@ -194,7 +188,7 @@ def run_sweep(
         metadata["db_rows"] = db.n_rows
         metadata["checkpoint_id"] = db.meta.get("checkpoint_id", "")
 
-    report = EvalReport(config=cfg, metadata=metadata)
+    report = EvalReport(metadata=metadata)
     for fi, factor in enumerate(cfg.factors):
         for li, length in enumerate(cfg.lengths):
             rng = np.random.default_rng([cfg.seed, fi, li])

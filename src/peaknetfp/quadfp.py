@@ -20,7 +20,7 @@ from scipy.spatial import KDTree
 from . import container
 from .errors import DataError, DecodeError
 from .signal.audio import DEFAULT_SAMPLE_RATE
-from .signal.peaks import local_maxima
+from .signal.peaks import local_maxima, strength_order
 from .signal.spectral import FMAX, FMIN, FRAMES_PER_SECOND, HOP, N_FFT, N_MELS, melspectrogram
 
 QUAD_KIND = "quad.db"
@@ -83,7 +83,7 @@ def spectrogram_peaks(spec: np.ndarray) -> np.ndarray:
     rows, cols, values = local_maxima(spec)
     if cols.size == 0:
         return np.zeros((0, 3), dtype=np.float64)
-    order = np.lexsort((rows, cols, -values.astype(np.float64)))
+    order = strength_order(cols, rows, values)
     rows, cols, values = rows[order], cols[order], values[order]
     t, f = parabolic_refine(spec, rows, cols)
     # by second, amplitude order kept within each; a peak's rank is its place in its second
@@ -120,7 +120,7 @@ def enumerate_quads(peaks: np.ndarray, per_second: int) -> dict[str, np.ndarray]
     yields at most MAX_QUADS_PER_ROOT quads.
     """
     fps = FRAMES_PER_SECOND
-    peaks = peaks[np.lexsort((peaks[:, 1], peaks[:, 0], -peaks[:, 2]))]
+    peaks = peaks[strength_order(peaks[:, 0], peaks[:, 1], peaks[:, 2])]
     t, f = peaks[:, 0], peaks[:, 1]
     target = int(round(per_second * ((t.max() + 1) / fps))) if t.size else 0
 

@@ -51,6 +51,12 @@ def local_maxima(spec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, s[rows, cols]
 
 
+def strength_order(t: np.ndarray, f: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Indices that sort points strongest first: amplitude descending, then
+    ascending t, then ascending f."""
+    return np.lexsort((f, t, -np.asarray(a, dtype=np.float64)))
+
+
 def select_peaks(
     rows: np.ndarray, cols: np.ndarray, values: np.ndarray, k: int = CLOUD_SIZE
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -59,7 +65,7 @@ def select_peaks(
     Output is in the canonical cloud order: amplitude descending, then
     (col, row) ascending.
     """
-    order = np.lexsort((rows, cols, -np.asarray(values, dtype=np.float64)))[:k]
+    order = strength_order(cols, rows, values)[:k]
     return rows[order], cols[order], values[order]
 
 

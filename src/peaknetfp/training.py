@@ -77,14 +77,12 @@ class SegmentDataset:
         if not tracks:
             raise DataError("empty track collection")
         self._samples: list[np.ndarray] = []
-        self.track_ids: list[str] = []
         clouds: list[np.ndarray] = []
         for track_id, samples in tracks:
             x = np.asarray(samples, dtype=np.float32)
             if x.size < SEGMENT_SAMPLES:
                 raise DataError(f"track {track_id!r} is shorter than one segment")
             clouds.append(clip_clouds(x))
-            self.track_ids.append(track_id)
             self._samples.append(x)
         # per segment: its track and its first sample
         self._track = np.repeat(np.arange(len(clouds)), [len(c) for c in clouds])
@@ -176,7 +174,6 @@ def build_batch(
 class TrainResult:
     model: PeakEncoder
     records: list[dict] = field(default_factory=list)
-    checkpoint_path: Path | None = None
 
 
 def _cosine_lr(cfg: TrainConfig, global_step: int, total_steps: int) -> float:
@@ -248,14 +245,13 @@ def train(
     total_steps = cfg.epochs * steps_per_epoch
     records: list[dict] = []
     log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
-    result = TrainResult(model=model, records=records)
 
     def checkpoint(epochs_done: int) -> None:
         if out_path is None:
             return
         container.write(out_path, CHECKPOINT, *_full_state(model, opt, cfg, epochs_done))
-        result.checkpoint_path = Path(out_path)
 
+    done = start_epoch
     try:
         for epoch in range(start_epoch, cfg.epochs):
             rng = np.random.default_rng([cfg.seed, epoch])
@@ -298,14 +294,13 @@ def train(
                 float(np.mean(epoch_losses)),
             )
             done = epoch + 1
-            stopping = stop_after is not None and done >= stop_after
-            if stopping or done % cfg.checkpoint_every == 0 or done == cfg.epochs:
-                checkpoint(done)
-            if stopping:
+            if stop_after is not None and done >= stop_after:
                 break
-        if result.checkpoint_path is None:
-            checkpoint(max(start_epoch, cfg.epochs))
+            if done < cfg.epochs and done % cfg.checkpoint_every == 0:
+                checkpoint(done)
+        # the last checkpoint: at the end, at stop_after, or with no epochs to run
+        checkpoint(done)
     finally:
         if log_fh:
             log_fh.close()
-    return result
+    return TrainResult(model=model, records=records)

@@ -225,17 +225,17 @@ class TestEncoderForward:
         rng = np.random.default_rng(2)
         model = PeakEncoder(seed=2)
         cloud = random_cloud(rng)
-        base = model.fingerprint(cloud)
+        base = model.fingerprints(cloud[None])[0]
         for _ in range(5):
             shuffled = cloud[rng.permutation(256)]
-            np.testing.assert_array_equal(model.fingerprint(shuffled), base)
+            np.testing.assert_array_equal(model.fingerprints(shuffled[None])[0], base)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
         model = PeakEncoder(seed=3)
         clouds = np.stack([random_cloud(rng) for _ in range(3)])
         batched = model.fingerprints(clouds)
-        singles = np.stack([model.fingerprint(c) for c in clouds])
+        singles = np.stack([model.fingerprints(c[None])[0] for c in clouds])
         np.testing.assert_allclose(batched, singles, rtol=1e-5, atol=1e-6)
 
     def test_untaped_inference_bit_equal_to_taped_encode(self):
@@ -244,9 +244,12 @@ class TestEncoderForward:
             [clip_clouds(make_track(0, seconds=4.0)), clip_clouds(tone_bursts(3.0))]
         )
         assert len(np.unique(clouds[-1], axis=0)) < clouds.shape[1]
-        taped = model.encode(clouds, training=False)
-        assert taped.requires_grad
-        np.testing.assert_array_equal(model.fingerprints(clouds), taped.data)
+        running = {k: v.copy() for k, v in model.running.items()}
+        emb = model.encode(clouds, training=False)  # grad is enabled here
+        assert not emb.requires_grad
+        assert emb.data.tobytes() == model.fingerprints(clouds).tobytes()
+        for k, v in running.items():
+            assert model.running[k].tobytes() == v.tobytes(), k
 
     def test_chunks_equal_a_single_pass_bytes(self, monkeypatch):
         model = PeakEncoder(seed=0)
@@ -278,18 +281,18 @@ class TestEncoderForward:
 
     def test_zero_cloud_gets_fixed_unit_direction(self):
         model = PeakEncoder(seed=0)
-        fp = model.fingerprint(np.zeros((256, 3), dtype=np.float32))
+        fp = model.fingerprints(np.zeros((1, 256, 3), dtype=np.float32))[0]
         assert np.linalg.norm(fp) == pytest.approx(1.0, abs=1e-6)
 
     def test_too_few_points_rejected(self):
         model = PeakEncoder(seed=0)
         with pytest.raises(ShapeError):
-            model.fingerprint(np.zeros((100, 3), dtype=np.float32))
+            model.fingerprints(np.zeros((1, 100, 3), dtype=np.float32))
 
     def test_bad_shape_rejected(self):
         model = PeakEncoder(seed=0)
         with pytest.raises(ShapeError):
-            model.fingerprint(np.zeros((256, 4), dtype=np.float32))
+            model.fingerprints(np.zeros((1, 256, 4), dtype=np.float32))
 
 
 class TestStraightLineOracle:
@@ -352,7 +355,7 @@ class TestCheckpointPersistence:
         clone = PeakEncoder.from_checkpoint(path)
         assert clone.config == model.config
         cloud = rng.random((16, 3)).astype(np.float32)
-        np.testing.assert_array_equal(clone.fingerprint(cloud), model.fingerprint(cloud))
+        np.testing.assert_array_equal(clone.fingerprints(cloud[None]), model.fingerprints(cloud[None]))
 
     def test_checkpoint_id_stable_and_content_sensitive(self, tmp_path):
         model = PeakEncoder(config=tiny_config(), seed=7)
@@ -373,7 +376,7 @@ class TestCheckpointPersistence:
         container.write(path, CHECKPOINT, arrays, {"config": stored})
         cloud = np.random.default_rng(10).random((16, 3)).astype(np.float32)
         old = PeakEncoder.from_checkpoint(path)
-        np.testing.assert_array_equal(old.fingerprint(cloud), model.fingerprint(cloud))
+        np.testing.assert_array_equal(old.fingerprints(cloud[None]), model.fingerprints(cloud[None]))
         for key, value in (("distance_mode", "2d"), ("bn_eps", 1e-3), ("bn_momentum", 0.01)):
             container.write(path, CHECKPOINT, arrays, {"config": {**stored, key: value}})
             with pytest.raises(DecodeError, match=key):

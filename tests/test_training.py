@@ -377,6 +377,21 @@ class TestTrainLoop:
         _, meta = container.read(out, CHECKPOINT)
         assert meta["epochs_done"] == 0 and meta["opt_step"] == 0
 
+    @pytest.mark.parametrize(
+        "epochs, stop_after, written",
+        [(5, None, [2, 4, 5]), (4, None, [2, 4]), (5, 3, [2, 3]), (5, 4, [2, 4]), (0, None, [0])],
+    )
+    def test_checkpoints_at_cadence_and_once_at_the_end(
+        self, toy_dataset, tmp_path, monkeypatch, epochs, stop_after, written
+    ):
+        epochs_done = []
+        monkeypatch.setattr(
+            container, "write", lambda path, kind, arrays, meta: epochs_done.append(meta["epochs_done"])
+        )
+        cfg = tiny_cfg(epochs=epochs, steps_per_epoch=1, checkpoint_every=2)
+        train(toy_dataset, cfg, PeakEncoder(tiny_config()), tmp_path / "c.ckpt", stop_after=stop_after)
+        assert epochs_done == written
+
     def test_optimizer_step_roundtrips_exactly_past_float32(self, tmp_path):
         model = PeakEncoder(tiny_config(), seed=3)
         opt = ad.AdamState(
@@ -424,7 +439,7 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged):
             train(toy_dataset, tiny_cfg(), model=model, out_path=out)
         dump = out.with_suffix(".nan-dump.ckpt")
-        assert dump.exists()
+        assert dump.exists() and not out.exists()
         arrays, meta = container.read(dump, CHECKPOINT)
         assert arrays["dump/batch_clouds"].shape == (4, 256, 3)
         assert meta["epochs_done"] == 0
