@@ -8,10 +8,10 @@ reaches every file that stores it with no second list to edit:
 - ``from_dict`` rebuilds nested configs and ``tuple[X, ...]`` fields from the
   fields' type hints, checks every scalar and tuple item against its hint,
   and passes the values as stored to the config's own checks. An ``int``
-  takes no bool or float, a ``float`` takes an int, stored as a float, but no
-  bool, and ``None`` fits only a hint that names it. A key that is not a
-  field, a value of the wrong type, a missing field without a default, and a
-  value the config rejects all raise :class:`ConfigError`.
+  takes no bool or float, and a ``float`` takes an int, stored as a float, but
+  no bool. A key that is not a field, a value of the wrong type, a missing
+  field without a default, and a value the config rejects all raise
+  :class:`ConfigError`.
 """
 from __future__ import annotations
 
@@ -37,15 +37,13 @@ def _from_json(hint, value, name: str):
         return tuple(_from_json(item, v, name) for v in value)
     if isinstance(hint, type) and issubclass(hint, JsonConfig):
         return hint.from_dict(value)
-    # exact types, so a bool is no int; `int | None` lists both
-    allowed = typing.get_args(hint) or (hint,)
-    if float in allowed and type(value) is int:
+    if hint is float and type(value) is int:
         try:
             return float(value)
         except OverflowError:
             raise ConfigError(f"{name} is out of float range: {value!r}") from None
-    if type(value) not in allowed:
-        raise ConfigError(f"{name} expects {getattr(hint, '__name__', hint)}, got {value!r}")
+    if type(value) is not hint:  # exact types, so a bool is no int
+        raise ConfigError(f"{name} expects {hint.__name__}, got {value!r}")
     return value
 
 

@@ -97,7 +97,7 @@ class EncoderConfig(JsonConfig):
                     f"stage {si}: radius must grow with group size, got {radii}"
                 )
             if any(
-                b.group_size <= 0 or b.radius <= 0 or not b.mlp or min(b.mlp) <= 0
+                b.group_size <= 0 or not 0 < b.radius < np.inf or not b.mlp or min(b.mlp) <= 0
                 for b in stage.branches
             ):
                 raise ConfigError(f"stage {si}: bad branch spec")

@@ -28,7 +28,9 @@ from .encoder import PeakEncoder
 from .errors import ConfigError, DataError
 from .index import FingerprintDB, IVFPQIndex, sequence_match
 from .quadfp import QuadDB
-from .signal.audio import DEFAULT_SAMPLE_RATE, SEGMENT_HOP_SECONDS, stretch_audio
+from .signal.audio import (
+    DEFAULT_SAMPLE_RATE, SEGMENT_HOP_SECONDS, STRETCH_MAX, STRETCH_MIN, stretch_audio,
+)
 from .signal.peaks import clip_clouds
 
 DEFAULT_FACTORS = (
@@ -51,10 +53,10 @@ class EvalConfig(JsonConfig):
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(float(f) for f in self.factors))
         object.__setattr__(self, "lengths", tuple(float(l) for l in self.lengths))
-        if not self.factors or any(not 0.5 <= f <= 2.0 for f in self.factors):
-            raise ConfigError("stretch factors must lie in [0.5, 2]")
-        if not self.lengths or any(l < 2.0 for l in self.lengths):
-            raise ConfigError("query lengths below 2 s are not supported")
+        if not self.factors or any(not STRETCH_MIN <= f <= STRETCH_MAX for f in self.factors):
+            raise ConfigError(f"stretch factors must lie in [{STRETCH_MIN}, {STRETCH_MAX}]")
+        if not self.lengths or any(not 2.0 <= l < np.inf for l in self.lengths):
+            raise ConfigError("query lengths must be finite and at least 2 s")
         if self.n_queries < 1:
             raise ConfigError("need at least one query per cell")
         if self.system not in ("peaknetfp", "quadfp"):

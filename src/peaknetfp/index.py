@@ -316,9 +316,10 @@ class IVFPQIndex:
 # sequence alignment
 
 
-# Tempo slopes an alignment may follow: 2^(k/6) for k = -6..6, which spans the
-# 0.5x-2x factors EvalConfig and TrainConfig admit. Nearest 1 first, and the
-# lower of each pair first: the order in which slopes that tie are preferred.
+# Tempo slopes an alignment may follow: 2^(k/6) for k = -6..6, which spans
+# signal.audio's STRETCH_MIN..STRETCH_MAX, the factors training and evaluation
+# use. Nearest 1 first, and the lower of each pair first: the order in which
+# slopes that tie are preferred.
 SLOPES = 2.0 ** (np.array([0, -1, 1, -2, 2, -3, 3, -4, 4, -5, 5, -6, 6]) / 6)
 # float64 elements in one block of candidate positions sequence_match scores
 SCORE_BLOCK = 1 << 16

@@ -19,7 +19,7 @@ from scipy.spatial import KDTree
 
 from . import container
 from .errors import DataError, DecodeError
-from .signal.audio import DEFAULT_SAMPLE_RATE
+from .signal.audio import DEFAULT_SAMPLE_RATE, STRETCH_MAX, STRETCH_MIN
 from .signal.peaks import local_maxima, strength_order
 from .signal.spectral import FMAX, FMIN, FRAMES_PER_SECOND, HOP, N_FFT, N_MELS, melspectrogram
 
@@ -37,9 +37,7 @@ DT_MIN_SECONDS = 0.25
 DT_MAX_SECONDS = 2.0
 MIN_DF_BINS = 16.0
 HASH_EPSILON = 0.01
-STRETCH_MIN = 0.5
-STRETCH_MAX = 2.0
-STRETCH_BINS = 32
+STRETCH_BINS = 32  # log-spaced over STRETCH_MIN..STRETCH_MAX
 OFFSET_BIN_SECONDS = 0.25
 MAX_QUADS_PER_ROOT = 8
 
@@ -182,6 +180,8 @@ class QuadDB:
         return sum(len(rows["hash"]) for rows in self.tracks.rows.values())
 
     def add_track(self, track_id: str, samples: np.ndarray) -> None:
+        if track_id in self.tracks.rows:  # before the front end's work, not after
+            raise DataError(f"duplicate track id {track_id!r}")
         spec = melspectrogram(np.asarray(samples, dtype=np.float32))
         quads = enumerate_quads(spectrogram_peaks(spec), REF_QUADS_PER_SECOND)
         self.add_track_quads(track_id, quads)

@@ -28,6 +28,10 @@ DEFAULT_SAMPLE_RATE = 8000
 # grows with the rate ratio, so a bogus header rate could exhaust memory
 MAX_SAMPLE_RATE = 384_000
 
+# the tempo factors the system is built for: training replicas, evaluation
+# sweeps, the quad baseline's vote and the alignment slopes all span them
+STRETCH_MIN, STRETCH_MAX = 0.5, 2.0
+
 # WSOLA geometry at DEFAULT_SAMPLE_RATE: a 40 ms window (an even sample
 # count) searched +-10 ms around its natural position.
 _STRETCH_WINDOW = DEFAULT_SAMPLE_RATE // 25

@@ -28,39 +28,30 @@ from . import container
 from .config import JsonConfig
 from .encoder import CHECKPOINT, PeakEncoder
 from .errors import ConfigError, ContractError, DataError, DecodeError, TrainingDiverged
-from .signal.audio import DEFAULT_SAMPLE_RATE, SEGMENT_HOP, SEGMENT_SAMPLES
+from .signal.audio import DEFAULT_SAMPLE_RATE, SEGMENT_HOP, SEGMENT_SAMPLES, STRETCH_MAX, STRETCH_MIN
 from .signal.peaks import CLOUD_SIZE, clip_clouds, extract_peaks
 from .signal.spectral import HOP, fit_frames, melspectrogram, stretch_spectrogram
 
 log = logging.getLogger(__name__)
 
+TEMPERATURE = 0.05  # of the NT-Xent loss, as in NeuralFP (Chang et al., ICASSP 2021)
+LR, LR_MIN = 1e-3, 1e-6  # the cosine schedule's first and last learning rate
+
 
 @dataclass(frozen=True)
 class TrainConfig(JsonConfig):
+    """The defaults are the recipe the acceptance tests train."""
+
     pairs_per_batch: int = 8
-    temperature: float = 0.05
-    lr: float = 1e-3
-    lr_min: float = 1e-6
-    epochs: int = 20
-    steps_per_epoch: int | None = None
-    stretch_min: float = 0.5
-    stretch_max: float = 2.0
+    epochs: int = 16
+    steps_per_epoch: int = 40
     seed: int = 0
-    checkpoint_every: int = 5
 
     def __post_init__(self) -> None:
         if self.pairs_per_batch < 2:
             raise ConfigError("need at least 2 pairs per batch")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        if not 0 < self.lr_min <= self.lr:
-            raise ConfigError("need 0 < lr_min <= lr")
-        if not 0 < self.stretch_min <= self.stretch_max:
-            raise ConfigError("need 0 < stretch_min <= stretch_max")
-        if self.epochs < 0 or (self.steps_per_epoch is not None and self.steps_per_epoch < 1):
+        if self.epochs < 0 or self.steps_per_epoch < 1:
             raise ConfigError("epochs must be >= 0, steps_per_epoch >= 1")
-        if self.checkpoint_every < 1:
-            raise ConfigError("checkpoint_every must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
@@ -127,7 +118,7 @@ def diagonal_mask(n: int) -> np.ndarray:
     return np.diag(np.full(n, -1e30, dtype=np.float32))
 
 
-def ntxent_loss(embeddings: ad.Tensor, temperature: float = 0.05) -> ad.Tensor:
+def ntxent_loss(embeddings: ad.Tensor, temperature: float = TEMPERATURE) -> ad.Tensor:
     """Normalized-temperature cross entropy over adjacent positive pairs."""
     if temperature <= 0:
         raise ConfigError("temperature must be positive")
@@ -148,21 +139,16 @@ def build_batch(
     dataset: SegmentDataset, cfg: TrainConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, dict]:
     """Interleaved (original, replica) clouds for one step: shape (2N, P, 3)."""
-    eligible = dataset.eligible_indices(max(1.0, cfg.stretch_max))
+    eligible = dataset.eligible_indices(STRETCH_MAX)
     if eligible.size < cfg.pairs_per_batch:
         raise DataError(
-            f"only {eligible.size} segments can host a x{cfg.stretch_max} window, "
+            f"only {eligible.size} segments can host a x{STRETCH_MAX} window, "
             f"need {cfg.pairs_per_batch}"
         )
     picked = rng.choice(eligible, size=cfg.pairs_per_batch, replace=False)
-    if cfg.stretch_min == cfg.stretch_max:
-        factors = np.full(cfg.pairs_per_batch, cfg.stretch_min)
-    else:
-        factors = np.exp(
-            rng.uniform(
-                math.log(cfg.stretch_min), math.log(cfg.stretch_max), cfg.pairs_per_batch
-            )
-        )
+    factors = np.exp(
+        rng.uniform(math.log(STRETCH_MIN), math.log(STRETCH_MAX), cfg.pairs_per_batch)
+    )
     clouds = np.empty((2 * cfg.pairs_per_batch, CLOUD_SIZE, 3), dtype=np.float32)
     for i, (seg, s) in enumerate(zip(picked, factors)):
         clouds[2 * i] = dataset.originals[seg]
@@ -176,11 +162,11 @@ class TrainResult:
     records: list[dict] = field(default_factory=list)
 
 
-def _cosine_lr(cfg: TrainConfig, global_step: int, total_steps: int) -> float:
+def _cosine_lr(global_step: int, total_steps: int) -> float:
     if total_steps <= 1:
-        return cfg.lr
+        return LR
     frac = min(global_step / (total_steps - 1), 1.0)
-    return cfg.lr_min + 0.5 * (cfg.lr - cfg.lr_min) * (1.0 + math.cos(math.pi * frac))
+    return LR_MIN + 0.5 * (LR - LR_MIN) * (1.0 + math.cos(math.pi * frac))
 
 
 def _full_state(
@@ -223,11 +209,12 @@ def train(
 ) -> TrainResult:
     """Run the contrastive loop; returns the model and per-step records.
 
-    ``stop_after`` interrupts the schedule after that many epochs (a
-    checkpoint is written even off-cadence); ``resume`` continues from such a
-    checkpoint and reproduces the remaining epochs of an uninterrupted run
-    exactly, learning-rate schedule included. A non-finite loss aborts with a
-    diagnostic dump next to ``out_path``.
+    With ``out_path`` a checkpoint is written after every epoch, the last
+    one once. ``stop_after`` interrupts the schedule after that many epochs;
+    ``resume`` continues from any of these checkpoints and reproduces the
+    remaining epochs of an uninterrupted run exactly, learning-rate schedule
+    included. A non-finite loss aborts with a diagnostic dump next to
+    ``out_path``.
     """
     opt = ad.AdamState()
     start_epoch = 0
@@ -239,10 +226,7 @@ def train(
     elif model is None:
         model = PeakEncoder(seed=cfg.seed)
 
-    steps_per_epoch = cfg.steps_per_epoch or max(
-        1, dataset.eligible_indices(max(1.0, cfg.stretch_max)).size // cfg.pairs_per_batch
-    )
-    total_steps = cfg.epochs * steps_per_epoch
+    total_steps = cfg.epochs * cfg.steps_per_epoch
     records: list[dict] = []
     log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
 
@@ -256,11 +240,11 @@ def train(
         for epoch in range(start_epoch, cfg.epochs):
             rng = np.random.default_rng([cfg.seed, epoch])
             epoch_losses = []
-            for step in range(steps_per_epoch):
+            for step in range(cfg.steps_per_epoch):
                 clouds, batch_meta = build_batch(dataset, cfg, rng)
-                lr = _cosine_lr(cfg, opt.step, total_steps)
+                lr = _cosine_lr(opt.step, total_steps)
                 emb = model.encode(clouds, training=True)
-                loss = ntxent_loss(emb, cfg.temperature)
+                loss = ntxent_loss(emb)
                 loss_value = float(loss.data)
                 if not math.isfinite(loss_value):
                     dump = Path(out_path or "train").with_suffix(".nan-dump.ckpt")
@@ -296,7 +280,7 @@ def train(
             done = epoch + 1
             if stop_after is not None and done >= stop_after:
                 break
-            if done < cfg.epochs and done % cfg.checkpoint_every == 0:
+            if done < cfg.epochs:
                 checkpoint(done)
         # the last checkpoint: at the end, at stop_after, or with no epochs to run
         checkpoint(done)

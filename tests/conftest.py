@@ -42,21 +42,10 @@ def small_encoder_config() -> EncoderConfig:
     )
 
 
-RIG_TRAIN_CONFIG = TrainConfig(
-    pairs_per_batch=4,
-    epochs=2,
-    steps_per_epoch=20,
-    seed=0,
-    checkpoint_every=2,
-)
+RIG_TRAIN_CONFIG = TrainConfig(pairs_per_batch=4, epochs=2, steps_per_epoch=20, seed=0)
 
-DESK_TRAIN_CONFIG = TrainConfig(
-    pairs_per_batch=8,
-    epochs=16,
-    steps_per_epoch=40,
-    seed=0,
-    checkpoint_every=8,
-)
+# the defaults, so the command line trains what the acceptance tests check
+DESK_TRAIN_CONFIG = TrainConfig()
 
 
 def build_fingerprint_db(model: PeakEncoder, tracks, model_path=None) -> FingerprintDB:

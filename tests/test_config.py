@@ -6,19 +6,18 @@ import json
 
 import pytest
 
-from peaknetfp.encoder import DEFAULT_CONFIG, EncoderConfig
+from peaknetfp.encoder import DEFAULT_CONFIG, BranchSpec, EncoderConfig
 from peaknetfp.errors import ConfigError
 from peaknetfp.evaluate import EvalConfig
 from peaknetfp.training import TrainConfig
 
-# the sorted-key JSON the hand-written codecs produced for the defaults;
-# checkpoints, quad.db files, reports and config_hash are built from it
+# the sorted-key JSON of the defaults (the eval and encoder configs' as the
+# hand-written codecs produced it); checkpoints, quad.db files, reports and
+# config_hash are built from it
 RECORDED = [
     (
         TrainConfig(),
-        '{"checkpoint_every": 5, "epochs": 20, "lr": 0.001, "lr_min": 1e-06, '
-        '"pairs_per_batch": 8, "seed": 0, "steps_per_epoch": null, '
-        '"stretch_max": 2.0, "stretch_min": 0.5, "temperature": 0.05}',
+        '{"epochs": 16, "pairs_per_batch": 8, "seed": 0, "steps_per_epoch": 40}',
     ),
     (
         EvalConfig(),
@@ -73,8 +72,8 @@ def test_integer_eval_factors_give_the_same_json():
 
 
 def test_integer_float_field_gives_the_same_json():
-    cfg = TrainConfig.from_dict({"lr": 1})
-    assert json.dumps(cfg.to_dict()) == json.dumps(TrainConfig(lr=1.0).to_dict())
+    cfg = BranchSpec.from_dict({"group_size": 4, "radius": 1, "mlp": [8]})
+    assert json.dumps(cfg.to_dict()) == json.dumps(BranchSpec(4, 1.0, (8,)).to_dict())
 
 
 def _encoder_dict() -> dict:
@@ -119,7 +118,8 @@ def test_encoder_config_refusals(make):
         (TrainConfig, {"epochs": "many"}),
         (EvalConfig, {"factors": 1.0}),
         (EvalConfig, {"factors": ["fast"]}),
-        (TrainConfig, {"lr": 10**400}),
+        (BranchSpec, {"group_size": 4, "radius": 10**400, "mlp": [8]}),
+        (TrainConfig, {"steps_per_epoch": None}),
     ],
 )
 def test_flat_config_refusals(cls, d):

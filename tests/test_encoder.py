@@ -97,6 +97,19 @@ class TestConfig:
                 global_mlp=global_mlp,
             )
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_radius_must_be_finite(self, tmp_path, radius):
+        # no distance is within a NaN radius, so every anchor would group alone
+        model = PeakEncoder(config=tiny_config(), seed=10)
+        arrays, meta = model.state()
+        meta["config"]["stage2"]["branches"][-1]["radius"] = radius
+        with pytest.raises(ConfigError, match="bad branch spec"):
+            EncoderConfig.from_dict(meta["config"])
+        path = tmp_path / "radius.ckpt"
+        container.write(path, CHECKPOINT, arrays, meta)
+        with pytest.raises(DecodeError, match="bad branch spec"):
+            PeakEncoder.from_checkpoint(path)
+
     def test_dict_roundtrip(self):
         cfg = tiny_config()
         assert EncoderConfig.from_dict(cfg.to_dict()) == cfg

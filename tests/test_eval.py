@@ -21,7 +21,7 @@ from peaknetfp.evaluate import (
     run_sweep,
 )
 from peaknetfp.quadfp import QUAD_KIND, QuadDB
-from peaknetfp.signal.audio import write_wav
+from peaknetfp.signal.audio import STRETCH_MAX, STRETCH_MIN, write_wav
 from peaknetfp.signal.peaks import CLOUD_SIZE, clip_clouds
 
 
@@ -29,13 +29,16 @@ class TestEvalConfig:
     def test_default_grid_shape(self):
         assert len(DEFAULT_FACTORS) == 14
         assert len(DEFAULT_LENGTHS) == 5
-        assert all(0.5 <= f <= 2.0 for f in DEFAULT_FACTORS)
+        assert all(STRETCH_MIN <= f <= STRETCH_MAX for f in DEFAULT_FACTORS)
         assert any(f < 1.0 for f in DEFAULT_FACTORS)
         assert any(f > 1.0 for f in DEFAULT_FACTORS)
         assert all(l >= 2.0 for l in DEFAULT_LENGTHS)
 
     def test_roundtrip(self):
-        cfg = EvalConfig(factors=(0.5, 1.0), lengths=(2, 5), n_queries=3, seed=9)
+        # both ends of the stretch range are accepted
+        cfg = EvalConfig(
+            factors=(STRETCH_MIN, 1.0, STRETCH_MAX), lengths=(2, 5), n_queries=3, seed=9
+        )
         again = EvalConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
@@ -58,11 +61,24 @@ class TestEvalConfig:
             {"system": "shazam"},
             {"backend": "annoy"},
             {"k": 0},
+            {"factors": (float(np.nextafter(STRETCH_MIN, 0.0)),)},
+            {"factors": (float(np.nextafter(STRETCH_MAX, 3.0)),)},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             EvalConfig(**kwargs)
+
+    @pytest.mark.parametrize("length", ["NaN", "Infinity"])
+    def test_non_finite_length_refused(self, length, tmp_path):
+        # Python's JSON reader takes both, so a -c file can hold them
+        text = f'{{"factors": [1.0], "lengths": [{length}]}}'
+        with pytest.raises(ConfigError, match="finite"):
+            EvalConfig.from_dict(json.loads(text))
+        path = tmp_path / "ecfg.json"
+        path.write_text(text)
+        args = ["evaluate", "-c", str(path), "--audio", str(tmp_path), "-o", str(tmp_path / "r")]
+        assert main(args) == 2
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):

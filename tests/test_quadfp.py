@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import peaknetfp.reference as ref
-from peaknetfp import container
+from peaknetfp import container, quadfp
 from peaknetfp.errors import DataError, DecodeError
 from peaknetfp.quadfp import (
     DT_MAX_SECONDS,
@@ -20,8 +20,6 @@ from peaknetfp.quadfp import (
     QUERY_QUADS_PER_SECOND,
     REF_QUADS_PER_SECOND,
     STRETCH_BINS,
-    STRETCH_MAX,
-    STRETCH_MIN,
     QuadDB,
     QuadMatch,
     box_matches,
@@ -30,7 +28,7 @@ from peaknetfp.quadfp import (
     quad_hash,
     spectrogram_peaks,
 )
-from peaknetfp.signal.audio import stretch_audio
+from peaknetfp.signal.audio import STRETCH_MAX, STRETCH_MIN, stretch_audio
 from peaknetfp.signal.spectral import FRAMES_PER_SECOND, melspectrogram, stretch_spectrogram
 
 
@@ -579,10 +577,15 @@ class TestSerialization:
         with pytest.raises(DecodeError):
             QuadDB.load(path)
 
-    def test_duplicate_and_empty_db(self, tmp_path):
+    def test_duplicate_and_empty_db(self, tmp_path, monkeypatch):
         db = QuadDB()
         db.add_track("t", synth_track(3.0, seed=51))
-        with pytest.raises(DataError):
+
+        def front_end(samples):
+            raise AssertionError("a duplicate id reached the front end")
+
+        monkeypatch.setattr(quadfp, "melspectrogram", front_end)
+        with pytest.raises(DataError, match="duplicate track id 't'"):
             db.add_track("t", synth_track(3.0, seed=52))
         with pytest.raises(DataError):
             QuadDB().match_quads({"hash": np.zeros((0, 4)), "t0": [], "dt": []})
