@@ -10,7 +10,14 @@ in its order, so it equals the composition bit for bit. In training,
 ``mlp_layer`` = relu(batch_norm(matmul(...))) is one taped node with a
 hand-written backward. In inference, ``frozen_mlp_layer`` =
 relu(scale_bias(matmul(...))) with the affine of the frozen statistics runs
-in place on the matmul output and builds no tape: inference never tapes. A
+in place on the matmul output and builds no tape: inference never tapes.
+``frozen_max_layer`` is ``frozen_mlp_layer`` then a max over groups of rows,
+bit for bit, with the affine and ReLU on the pooled rows only: both are
+monotone per channel, so it pools the matmul output (its min where the
+frozen scale is negative) first. Both frozen layers can take their input as
+``concat([x, table[rows]])`` without building it: they project the table
+once and gather the projected rows, which changes only the rounding.
+Training has no such rewrites: its layers keep the composition's order. A
 normalized layer has no bias: BatchNorm's mean subtraction would cancel it.
 ``batch_norm``, ``scale_bias`` and ``relu`` stay: they are the references the
 fused layers are tested against, and the benchmark's tracer wraps ops by name.
@@ -447,10 +454,10 @@ def _col_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
 
 
-def _check_layer(op: str, x: Tensor, w: Tensor, *vectors: np.ndarray) -> None:
+def _check_layer(op: str, x_shape: tuple, w: Tensor, *vectors: np.ndarray) -> None:
     # a 2-D x @ w, and every per-channel vector of the layer is (C,)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"{op}: {x.data.shape} @ {w.data.shape}")
+    if len(x_shape) != 2 or w.data.ndim != 2 or x_shape[1] != w.data.shape[0]:
+        raise ShapeError(f"{op}: {x_shape} @ {w.data.shape}")
     c = w.data.shape[1]
     if any(v.shape != (c,) for v in vectors):
         raise ShapeError(f"{op}: per-channel vectors must be ({c},), got {[v.shape for v in vectors]}")
@@ -466,7 +473,7 @@ def mlp_layer(
     matches it; the tape keeps only the normalized activations and ``y``.
     There is no bias operand: the mean subtraction would cancel it.
     """
-    _check_layer("mlp_layer", x, w, gamma.data, beta.data)
+    _check_layer("mlp_layer", x.data.shape, w, gamma.data, beta.data)
     n = x.data.shape[0]
     xhat = x.data @ w.data
     mu = xhat.mean(axis=0)
@@ -496,8 +503,46 @@ def mlp_layer(
     return out, mu, var
 
 
+def _frozen_layer(
+    op: str, x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, rmean: np.ndarray,
+    rvar: np.ndarray, gather: tuple[Tensor, np.ndarray] | None, group: int | None = None,
+) -> Tensor:
+    # z = x @ w, max-pooled over runs of group rows when a group is given,
+    # then the frozen BatchNorm affine and the ReLU in place
+    vectors = (gamma.data, beta.data, rmean, rvar)
+    if gather is None:
+        _check_layer(op, x.data.shape, w, *vectors)
+        z = x.data @ w.data
+    else:
+        # the input is concat([x, table[rows]]): the first k rows of w take x,
+        # the rest project the table once, and the projected rows are gathered
+        table, rows = gather
+        if x.data.ndim != 2 or table.data.ndim != 2 or np.shape(rows) != x.data.shape[:1]:
+            raise ShapeError(f"{op}: {np.shape(rows)} rows of {table.data.shape} beside {x.data.shape}")
+        k = x.data.shape[1]
+        _check_layer(op, (len(rows), k + table.data.shape[1]), w, *vectors)
+        z = x.data @ w.data[:k]
+        z += (table.data @ w.data[k:])[rows]
+    inv = (1.0 / np.sqrt(rvar.astype(np.float64) + BN_EPS)).astype(gamma.data.dtype)
+    scale = gamma.data * inv
+    if group is not None:
+        if group < 1 or z.shape[0] % group:
+            raise ShapeError(f"{op}: {z.shape[0]} rows do not split into groups of {group}")
+        z = z.reshape(-1, group, z.shape[1])
+        pooled = z.max(axis=1)
+        flip = scale < 0
+        if flip.any():
+            pooled[:, flip] = z[:, :, flip].min(axis=1)
+        z = pooled
+    z *= scale
+    z += beta.data - rmean * scale
+    np.maximum(z, 0, out=z)
+    return Tensor(z)
+
+
 def frozen_mlp_layer(
-    x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, rmean: np.ndarray, rvar: np.ndarray
+    x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, rmean: np.ndarray, rvar: np.ndarray,
+    gather: tuple[Tensor, np.ndarray] | None = None,
 ) -> Tensor:
     """relu(scale_bias(matmul(x, w), scale, shift)) as one untaped op (inference mode).
 
@@ -506,15 +551,31 @@ def frozen_mlp_layer(
     matmul output, one activation per layer instead of three. Inference builds
     no tape: the result never requires grad, whatever its operands do. Every
     bit matches the composition.
+
+    With ``gather = (table, rows)`` the layer's input is
+    ``concat([x, table[rows]])`` without building it: the matmul is
+    ``x @ w[:k] + (table @ w[k:])[rows]``, with ``k`` the width of ``x``. The
+    table is projected once however often its rows repeat, and the gathered
+    rows are as wide as the layer, not as the table; the result differs from
+    the concatenated input's only in rounding.
     """
-    _check_layer("frozen_mlp_layer", x, w, gamma.data, beta.data, rmean, rvar)
-    inv = (1.0 / np.sqrt(rvar.astype(np.float64) + BN_EPS)).astype(gamma.data.dtype)
-    scale = gamma.data * inv
-    out = x.data @ w.data
-    out *= scale
-    out += beta.data - rmean * scale
-    np.maximum(out, 0, out=out)
-    return Tensor(out)
+    return _frozen_layer("frozen_mlp_layer", x, w, gamma, beta, rmean, rvar, gather)
+
+
+def frozen_max_layer(
+    x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, rmean: np.ndarray, rvar: np.ndarray,
+    group: int, gather: tuple[Tensor, np.ndarray] | None = None,
+) -> Tensor:
+    """``frozen_mlp_layer`` then a max over each run of ``group`` rows, bit
+    for bit, with the affine and ReLU on the pooled rows only.
+
+    ``relu(fl(fl(z * scale) + shift))`` is monotone in ``z`` per channel:
+    non-decreasing where ``scale >= 0``, non-increasing where ``scale < 0``.
+    So the group's max of the layer is the layer of the group's max of ``z``,
+    or of its min where ``scale < 0``, and the affine and ReLU run on one row
+    per group instead of ``group``. ``gather`` is ``frozen_mlp_layer``'s.
+    """
+    return _frozen_layer("frozen_max_layer", x, w, gamma, beta, rmean, rvar, gather, group)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

@@ -82,9 +82,12 @@ def cmd_extract_peaks(args) -> int:
 
 def cmd_train(args) -> int:
     raw = _read_json(args.config) if args.config else {}
-    # a file with a "train" or an "encoder" section, or else a bare train config
+    # a file with a "train" or an "encoder" section, or else a bare train
+    # config; a resume without a file takes the checkpoint's config
     sectioned = "train" in raw or "encoder" in raw
-    cfg = TrainConfig.from_dict(raw.get("train", {}) if sectioned else raw)
+    cfg = None
+    if args.config or not args.resume:
+        cfg = TrainConfig.from_dict(raw.get("train", {}) if sectioned else raw)
     model = None
     if "encoder" in raw and not args.resume:
         model = PeakEncoder(EncoderConfig.from_dict(raw["encoder"]), seed=cfg.seed)
@@ -99,7 +102,7 @@ def cmd_train(args) -> int:
         resume=args.resume,
     )
     final = result.records[-1]["loss"] if result.records else float("nan")
-    print(f"trained {cfg.epochs} epochs; final loss {final:.4f}; checkpoint {args.out}")
+    print(f"trained {len(result.records)} steps; final loss {final:.4f}; checkpoint {args.out}")
     return 0
 
 

@@ -22,13 +22,34 @@ Determinism guarantees, relied on by tests and by retrieval:
 ``EncoderConfig``, ``StageSpec`` and ``BranchSpec`` take their JSON form, which
 checkpoints store as ``config``, from :class:`~peaknetfp.config.JsonConfig`.
 
-Grouping work is done once per stage and cloud, not once per branch: the
-distance matrix and the nearest-first order of the ``k = max(group_size)``
+Grouping work is done once per stage, not once per branch or cloud: the
+distance matrices and the nearest-first order of the ``k = max(group_size)``
 closest points are shared by all branches, and each branch cuts its groups
-from that order at its own in-radius count. The order comes from
-:func:`~peaknetfp.index.smallest_k`, a partition equal to a stable argsort,
-not a full sort. Anchors are the first points of a canonically
-ordered cloud, so each stage takes them by slicing.
+from that order at its own in-radius count. The order comes from one
+:func:`~peaknetfp.index.smallest_k` over the anchors of every cloud in the
+batch, a partition equal to a stable argsort, not a full sort. Anchors are
+the first points of a canonically ordered cloud, so each stage takes them by
+slicing.
+
+The two modes share one forward pass and choose between two layer ops.
+Training (taped, batch statistics) runs the plain order: concatenate the
+relative coordinates with the gathered features, lift every grouped row,
+then max-pool. Inference (untaped, frozen statistics) computes the same
+function with less work, in two rewrites:
+
+- stage 2's first layer projects before it gathers (PointNet++'s linear
+  first layer commutes with the gather, Qi et al., NeurIPS 2017):
+  ``rel @ w[:3] + (F @ w[3:])[idx]`` projects each anchor's features once
+  and gathers layer-wide rows instead of building the 163-column
+  concatenation. Only the rounding differs from the concatenated input's;
+- each pooled layer (a branch's last layer, the global MLP's last normalized
+  layer) max-pools ``x @ w`` over the group, or min-pools it where the frozen
+  scale is negative, before its affine and ReLU, which are monotone per
+  channel; this is bit-exact (``autodiff.frozen_max_layer``).
+
+Training keeps its order: a projected first layer measured 3-6% faster per
+training step, but it retrains a different model, and the reordered
+arithmetic would move the training losses and every trained output.
 """
 from __future__ import annotations
 
@@ -166,15 +187,20 @@ def query_ball_groups(
 
     Distances and neighbor order are computed once and shared: each branch
     takes its group from the same nearest-first order, cut at its own
-    in-radius count.
+    in-radius count. ``points`` is one ``(n, 3)`` cloud or a ``(batch, n, 3)``
+    stack whose clouds share the anchor indices; a stack takes one
+    nearest-first selection over all its anchors' rows, which are independent,
+    so each cloud's groups are the bytes of a call on that cloud alone.
     """
     idx = np.asarray(anchor_indices, dtype=np.int64)
     pts = np.asarray(points, dtype=np.float64)
+    clouds = pts if pts.ndim == 3 else pts[None]
     # summed in axis order t, f, a, as the loop oracles do
-    d2 = cdist(pts[idx], pts, "sqeuclidean")
+    d2 = np.concatenate([cdist(c[idx], c, "sqeuclidean") for c in clouds])
     # smallest_k ranks a NaN distance as +inf, and it is never in radius
     k = min(max(g for _, g in branches), d2.shape[1])
     order, od2 = smallest_k(d2, k)
+    own = np.tile(idx, len(clouds))
     groups = []
     for radius, group_size in branches:
         # in-radius count capped at the group size, all the cut needs
@@ -182,8 +208,8 @@ def query_ball_groups(
         cols = np.arange(group_size)
         g = np.where(cols < count[:, None], order[:, np.minimum(cols, k - 1)], order[:, :1])
         empty = count == 0
-        g[empty] = idx[empty, None]
-        groups.append(g)
+        g[empty] = own[empty, None]
+        groups.append(g.reshape(*pts.shape[:-2], idx.size, group_size))
     return groups
 
 
@@ -264,7 +290,22 @@ class PeakEncoder:
 
     # -- forward ----------------------------------------------------------
 
-    def _mlp(self, h: ad.Tensor, prefix: str, widths: tuple[int, ...], training: bool) -> ad.Tensor:
+    def _mlp(
+        self,
+        h: ad.Tensor,
+        prefix: str,
+        widths: tuple[int, ...],
+        training: bool,
+        group: int,
+        gather: tuple[ad.Tensor, np.ndarray] | None = None,
+    ) -> ad.Tensor:
+        """The MLP of ``widths`` on the rows of ``h``, then the max over each
+        run of ``group`` rows.
+
+        Training runs ``mlp_layer`` on batch statistics and pools its output.
+        Inference runs the frozen layers and pools the last one before its
+        affine (``frozen_max_layer``); ``gather`` is the first frozen layer's.
+        """
         for li in range(len(widths)):
             p = f"{prefix}.l{li}"
             w = self.params[f"{p}.w"]
@@ -273,12 +314,15 @@ class PeakEncoder:
                 h, mu, var = ad.mlp_layer(h, w, gamma, beta)
                 self.running[f"{p}.rmean"] += (BN_MOMENTUM * (mu - self.running[f"{p}.rmean"])).astype(self.dtype)
                 self.running[f"{p}.rvar"] += (BN_MOMENTUM * (var - self.running[f"{p}.rvar"])).astype(self.dtype)
-            else:
-                # rebinding h frees each layer's input as it goes
-                h = ad.frozen_mlp_layer(
-                    h, w, gamma, beta, self.running[f"{p}.rmean"], self.running[f"{p}.rvar"]
-                )
-        return h
+                continue
+            frozen = (w, gamma, beta, self.running[f"{p}.rmean"], self.running[f"{p}.rvar"])
+            if li == len(widths) - 1:
+                return ad.frozen_max_layer(h, *frozen, group, gather)
+            # rebinding h frees each layer's input as it goes
+            h = ad.frozen_mlp_layer(h, *frozen, gather)
+            gather = None
+        h = ad.reshape(h, (-1, group, int(h.data.shape[1])))
+        return ad.reduce_max(h, axis=1)
 
     def _stage(
         self,
@@ -293,21 +337,22 @@ class PeakEncoder:
         # clouds arrive in canonical order, and a prefix of a sorted cloud
         # stays sorted, so sample_anchors would pick the first n_anchor points
         anchor_idx = np.arange(n_anchor)
-        rows = np.arange(b_sz)[:, None]
+        rows = np.arange(b_sz)[:, None, None]
         new_xyz = xyz[:, :n_anchor]
         branches = [(br.radius, br.group_size) for br in spec.branches]
-        per_cloud = [query_ball_groups(anchor_idx, xyz[b], branches) for b in range(b_sz)]
+        groups = query_ball_groups(anchor_idx, xyz, branches)
         outs = []
-        for bi, br in enumerate(spec.branches):
-            g = np.stack([groups[bi] for groups in per_cloud])
-            rel = xyz[rows[..., None], g] - new_xyz[:, :, None, :]
+        for bi, (br, g) in enumerate(zip(spec.branches, groups)):
+            rel = xyz[rows, g] - new_xyz[:, :, None, :]
             x = ad.constant(rel.reshape(-1, 3))
+            gather = None
             if feats is not None:
-                flat_idx = g + rows[..., None] * n
-                x = ad.concat([x, ad.gather_rows(feats, flat_idx.reshape(-1))], axis=1)
-            h = self._mlp(x, f"{prefix}.b{bi}", br.mlp, training)
-            h = ad.reshape(h, (b_sz * n_anchor, br.group_size, br.mlp[-1]))
-            outs.append(ad.reduce_max(h, axis=1))
+                flat_idx = (g + rows * n).reshape(-1)
+                if training:
+                    x = ad.concat([x, ad.gather_rows(feats, flat_idx)], axis=1)
+                else:
+                    gather = (feats, flat_idx)
+            outs.append(self._mlp(x, f"{prefix}.b{bi}", br.mlp, training, br.group_size, gather))
         return new_xyz, ad.concat(outs, axis=1)
 
     def encode(self, clouds: np.ndarray, training: bool = False) -> ad.Tensor:
@@ -329,11 +374,8 @@ class PeakEncoder:
             xyz = np.stack([canonical_order(c) for c in x])
             xyz, feats = self._stage(xyz, None, self.config.stage1, "s1", training)
             xyz, feats = self._stage(xyz, feats, self.config.stage2, "s2", training)
-            b_sz, n, _ = xyz.shape
             h = ad.concat([ad.constant(xyz.reshape(-1, 3)), feats], axis=1)
-            h = self._mlp(h, "g", self.config.global_mlp[:-1], training)
-            h = ad.reshape(h, (b_sz, n, int(h.data.shape[1])))
-            pooled = ad.reduce_max(h, axis=1)
+            pooled = self._mlp(h, "g", self.config.global_mlp[:-1], training, xyz.shape[1])
             li = len(self.config.global_mlp) - 1
             out = ad.linear(pooled, self.params[f"g.l{li}.w"], self.params[f"g.l{li}.b"])
             return ad.l2_normalize(out, axis=1)
@@ -347,10 +389,13 @@ class PeakEncoder:
         never leave a chunk of one, which would take another BLAS path (a
         one-row matmul) and change the last bits of its fingerprint; chunks of
         two or more clouds give the bytes of a single pass over all of them.
+        No clouds give a ``(0, embed_dim)`` array.
         """
         x = np.asarray(clouds)
         if x.ndim == 2:
             x = x[None]
+        if x.ndim == 3 and len(x) == 0:
+            return np.empty((0, self.config.embed_dim), dtype=np.float32)
         n_chunks = -(-x.shape[0] // INFER_BATCH)
         chunks = [
             self.encode(chunk, training=False).data.astype(np.float32)

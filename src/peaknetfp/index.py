@@ -54,10 +54,14 @@ def smallest_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         vals = np.where(np.isnan(vals), np.inf, vals)
     v = np.partition(vals, k - 1, axis=1)[:, k - 1 : k]
     less = vals < v
-    ties = vals == v
-    need = k - less.sum(axis=1, keepdims=True)
-    keep = less | (ties & (np.cumsum(ties, axis=1) <= need))
-    cols = np.nonzero(keep)[1].reshape(-1, k)  # ascending index within a row
+    keep = less | (vals == v)
+    # only rows with more ties at v than free slots need the ranked ties
+    over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    if over.size:
+        ties = vals[over] == v[over]
+        need = k - np.count_nonzero(less[over], axis=1)[:, None]
+        keep[over] = less[over] | (ties & (np.cumsum(ties, axis=1) <= need))
+    cols = (np.flatnonzero(keep) % vals.shape[1]).reshape(-1, k)  # ascending within a row
     kv = np.take_along_axis(vals, cols, axis=1)
     o = np.argsort(kv, axis=1, kind="stable")
     return np.take_along_axis(cols, o, axis=1), np.take_along_axis(kv, o, axis=1)

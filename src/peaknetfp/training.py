@@ -14,6 +14,7 @@ uninterrupted run would have seen.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -181,6 +182,22 @@ def _full_state(
     return arrays, meta
 
 
+def _stored_config(meta: dict, cfg: TrainConfig | None) -> TrainConfig:
+    """The checkpoint's schedule; a ``cfg`` given too must equal it."""
+    try:
+        stored = TrainConfig.from_dict(meta.get("train_config"))
+    except ConfigError as exc:
+        raise DecodeError(f"checkpoint has no valid train config: {exc}") from exc
+    if cfg is None or cfg == stored:
+        return stored
+    differ = [
+        f"{f.name} {getattr(cfg, f.name)!r} (checkpoint: {getattr(stored, f.name)!r})"
+        for f in dataclasses.fields(TrainConfig)
+        if getattr(cfg, f.name) != getattr(stored, f.name)
+    ]
+    raise ConfigError(f"a resume keeps the checkpoint's train config; differs in {', '.join(differ)}")
+
+
 def _restore_opt(
     model: PeakEncoder, arrays: dict, meta: dict
 ) -> tuple[ad.AdamState, int]:
@@ -200,7 +217,7 @@ def _restore_opt(
 
 def train(
     dataset: SegmentDataset,
-    cfg: TrainConfig,
+    cfg: TrainConfig | None = None,
     model: PeakEncoder | None = None,
     out_path: str | Path | None = None,
     log_path: str | Path | None = None,
@@ -213,18 +230,23 @@ def train(
     one once. ``stop_after`` interrupts the schedule after that many epochs;
     ``resume`` continues from any of these checkpoints and reproduces the
     remaining epochs of an uninterrupted run exactly, learning-rate schedule
-    included. A non-finite loss aborts with a diagnostic dump next to
-    ``out_path``.
+    included: it takes the checkpoint's train config when ``cfg`` is None,
+    and refuses a ``cfg`` that differs from it with ``ConfigError``. Without
+    ``resume``, a None ``cfg`` is ``TrainConfig()``. A non-finite loss aborts
+    with a diagnostic dump next to ``out_path``.
     """
     opt = ad.AdamState()
     start_epoch = 0
     if resume is not None:
         arrays, meta = container.read(resume, CHECKPOINT)
+        cfg = _stored_config(meta, cfg)
         model = PeakEncoder.from_state(arrays, meta)
         opt, start_epoch = _restore_opt(model, arrays, meta)
         log.info("resumed from %s at epoch %d (step %d)", resume, start_epoch, opt.step)
-    elif model is None:
-        model = PeakEncoder(seed=cfg.seed)
+    else:
+        cfg = cfg or TrainConfig()
+        if model is None:
+            model = PeakEncoder(seed=cfg.seed)
 
     total_steps = cfg.epochs * cfg.steps_per_epoch
     records: list[dict] = []

@@ -292,13 +292,30 @@ class TestMlpLayer:
             ad.mlp_layer(x, w, v, ad.Tensor(np.ones(3)))
 
 
-def composed_frozen_mlp_layer(x, w, gamma, beta, rmean, rvar):
+def composed_frozen_mlp_layer(x, w, gamma, beta, rmean, rvar, gather=None):
     """The reference ``frozen_mlp_layer`` must match bit for bit: the
-    inference layer as separate ops."""
+    inference layer as separate ops. A ``gather`` projects the table with the
+    rows of ``w`` past the width of ``x``, then gathers the projected rows."""
     inv = (1.0 / np.sqrt(rvar.astype(np.float64) + ad.BN_EPS)).astype(gamma.data.dtype)
     scale = ad.mul(gamma, ad.constant(inv))
     shift = ad.sub(beta, ad.mul(ad.constant(rmean), scale))
-    return ad.relu(ad.scale_bias(ad.matmul(x, w), scale, shift))
+    if gather is None:
+        z = ad.matmul(x, w)
+    else:
+        table, rows = gather
+        k = x.data.shape[1]
+        z = ad.add(
+            ad.matmul(x, ad.constant(w.data[:k])),
+            ad.gather_rows(ad.matmul(table, ad.constant(w.data[k:])), rows),
+        )
+    return ad.relu(ad.scale_bias(z, scale, shift))
+
+
+def composed_frozen_max_layer(x, w, gamma, beta, rmean, rvar, group, gather=None):
+    """The reference ``frozen_max_layer`` must match bit for bit: the frozen
+    layer on every row, then the max over each run of ``group`` rows."""
+    h = composed_frozen_mlp_layer(x, w, gamma, beta, rmean, rvar, gather)
+    return ad.reduce_max(ad.reshape(h, (-1, group, h.data.shape[1])), axis=1)
 
 
 class TestFrozenMlpLayer:
@@ -361,6 +378,7 @@ class TestFrozenMlpLayer:
         clouds = rng.random((3, 256, 3)).astype(np.float32)
         fused = model.encode(clouds, training=False).data
         monkeypatch.setattr(ad, "frozen_mlp_layer", composed_frozen_mlp_layer)
+        monkeypatch.setattr(ad, "frozen_max_layer", composed_frozen_max_layer)
         want = model.encode(clouds, training=False).data
         assert fused.tobytes() == want.tobytes()
 
@@ -379,6 +397,104 @@ class TestFrozenMlpLayer:
             ad.frozen_mlp_layer(x, w, v, v, bad, s)
         with pytest.raises(ShapeError):
             ad.frozen_mlp_layer(x, w, v, v, s, bad)
+
+
+class TestFrozenLayerGather:
+    @staticmethod
+    def _operands(dtype, rows=37, k=3, table_rows=11, table_cols=6):
+        rng = np.random.default_rng(rows)
+        x = ad.Tensor(rng.normal(size=(rows, k)).astype(dtype))
+        table = ad.Tensor(rng.normal(size=(table_rows, table_cols)).astype(dtype))
+        idx = rng.integers(0, table_rows, rows)
+        w = ad.Tensor(rng.normal(size=(k + table_cols, 5)).astype(dtype))
+        vectors = [rng.uniform(0.5, 1.5, 5), rng.normal(size=5), rng.normal(size=5),
+                   rng.uniform(0.5, 2.0, 5)]
+        gamma, beta, rmean, rvar = (v.astype(dtype) for v in vectors)
+        return x, w, ad.Tensor(gamma), ad.Tensor(beta), rmean, rvar, (table, idx)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_the_composed_ops_and_near_the_concat(self, dtype):
+        x, w, gamma, beta, rmean, rvar, gather = self._operands(dtype)
+        fused = ad.frozen_mlp_layer(x, w, gamma, beta, rmean, rvar, gather)
+        with ad.no_grad():
+            want = composed_frozen_mlp_layer(x, w, gamma, beta, rmean, rvar, gather)
+        assert fused.data.dtype == dtype and fused.data.tobytes() == want.data.tobytes()
+        # the projected layer is the layer of the concatenated rows, up to rounding
+        table, idx = gather
+        cat = ad.Tensor(np.concatenate([x.data, table.data[idx]], axis=1))
+        plain = ad.frozen_mlp_layer(cat, w, gamma, beta, rmean, rvar)
+        np.testing.assert_allclose(fused.data, plain.data, rtol=1e-5, atol=1e-5)
+        assert fused.data.any()
+
+    def test_shape_violations(self):
+        x, w, gamma, beta, rmean, rvar, (table, idx) = self._operands(np.float64)
+        frozen = (gamma, beta, rmean, rvar)
+        with pytest.raises(ShapeError):  # one row index per row of x
+            ad.frozen_mlp_layer(x, w, *frozen, (table, idx[1:]))
+        with pytest.raises(ShapeError):  # x and the table are too wide for w
+            ad.frozen_mlp_layer(x, ad.Tensor(w.data[1:]), *frozen, (table, idx))
+        with pytest.raises(ShapeError):
+            ad.frozen_mlp_layer(x, w, *frozen, (ad.Tensor(table.data[0]), idx))
+        with pytest.raises(ShapeError):
+            ad.frozen_max_layer(x, w, *frozen, 2, (table, idx[1:]))
+
+
+class TestFrozenMaxLayer:
+    @staticmethod
+    def _operands(groups, group, dtype):
+        rng = np.random.default_rng(groups)
+        x = ad.Tensor(rng.normal(size=(groups * group, 5)).astype(dtype))
+        w = ad.Tensor(rng.normal(size=(5, 7)).astype(dtype))
+        gamma = rng.uniform(0.5, 1.5, 7) * np.array([1, -1, 1, -1, 1, -1, 1])
+        gamma[4] = 0.0  # every row maps to relu(beta)
+        beta = rng.normal(size=7)
+        beta[[1, 3]] = 5.0  # most rows of the negative columns stay live
+        beta[5] = -100.0  # the shift swamps every row, so ReLU zeroes column 5
+        vectors = [gamma, beta, rng.normal(size=7), rng.uniform(0.5, 2.0, 7)]
+        gamma, beta, rmean, rvar = (v.astype(dtype) for v in vectors)
+        return x, w, ad.Tensor(gamma), ad.Tensor(beta), rmean, rvar
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups, group", [(1, 1), (1, 16), (37, 1), (37, 4), (37, 16)])
+    def test_bytes_equal_the_composed_ops(self, dtype, groups, group):
+        operands = self._operands(groups, group, dtype)
+        fused = ad.frozen_max_layer(*operands, group)
+        with ad.no_grad():
+            want = composed_frozen_max_layer(*operands, group)
+        assert fused.data.shape == (groups, 7) and not fused.requires_grad
+        assert fused.data.dtype == want.data.dtype == dtype
+        assert fused.data.tobytes() == want.data.tobytes()
+        assert not fused.data[:, 5].any() and fused.data[:, [1, 3]].all()
+        if group > 1:  # where gamma < 0 the layer of the group's max is not the max
+            x, w, gamma, beta, rmean, rvar = operands
+            scale = gamma.data / np.sqrt(rvar + ad.BN_EPS)
+            z_max = (x.data @ w.data).reshape(groups, group, 7).max(axis=1)
+            wrong = np.maximum(z_max * scale + beta.data - rmean * scale, 0)
+            assert not np.allclose(wrong[:, 1], fused.data[:, 1])
+
+    def test_gather_bytes_equal_the_composed_ops(self):
+        x, w, gamma, beta, rmean, rvar, gather = TestFrozenLayerGather._operands(
+            np.float32, rows=36
+        )
+        gamma.data[1::2] *= -1.0
+        fused = ad.frozen_max_layer(x, w, gamma, beta, rmean, rvar, 4, gather)
+        with ad.no_grad():
+            want = composed_frozen_max_layer(x, w, gamma, beta, rmean, rvar, 4, gather)
+        assert fused.data.shape == (9, 5) and fused.data.tobytes() == want.data.tobytes()
+
+    def test_operands_are_never_written(self):
+        operands = self._operands(37, 4, np.float32)
+        arrays = [v.data if isinstance(v, ad.Tensor) else v for v in operands]
+        before = [a.copy() for a in arrays]
+        out = ad.frozen_max_layer(*operands, 4)
+        for b, a in zip(before, arrays):
+            assert a.tobytes() == b.tobytes() and not np.shares_memory(a, out.data)
+
+    def test_group_must_split_the_rows(self):
+        operands = self._operands(3, 4, np.float32)
+        for group in (0, 5, 24):
+            with pytest.raises(ShapeError):
+                ad.frozen_max_layer(*operands, group)
 
 
 class TestGraphMechanics:

@@ -6,16 +6,17 @@ import shutil
 
 import numpy as np
 import pytest
+from conftest import small_encoder_config
 
 from peaknetfp import cli, container
 from peaknetfp.cli import main
-from peaknetfp.encoder import CHECKPOINT, DEFAULT_CONFIG, EncoderConfig, checkpoint_id
+from peaknetfp.encoder import CHECKPOINT, DEFAULT_CONFIG, EncoderConfig, PeakEncoder, checkpoint_id
 from peaknetfp.errors import TrainingDiverged
 from peaknetfp.index import FingerprintDB
 from peaknetfp.quadfp import QUAD_KIND, QuadDB
 from peaknetfp.signal.audio import load_audio, stretch_audio
 from peaknetfp.signal.peaks import read_peaks
-from peaknetfp.training import TrainConfig, TrainResult
+from peaknetfp.training import SegmentDataset, TrainConfig, TrainResult, train
 
 
 class TestExitCodes:
@@ -276,6 +277,28 @@ class TestTrainConfigFile:
             assert seen["model"] is None
         else:
             assert seen["model"].config == EncoderConfig.from_dict(encoder_cfg)
+
+
+class TestTrainResume:
+    def test_resume_without_config_equals_the_uninterrupted_run(self, eval_rig, tmp_path, capsys):
+        cfg = TrainConfig(pairs_per_batch=2, epochs=3, steps_per_epoch=2, seed=4)
+        dataset = SegmentDataset(eval_rig.tracks)
+        full = train(dataset, cfg, model=PeakEncoder(small_encoder_config(), seed=1))
+        half, rest = tmp_path / "half.ckpt", tmp_path / "rest.ckpt"
+        train(dataset, cfg, model=PeakEncoder(small_encoder_config(), seed=1), out_path=half,
+              stop_after=1)
+        argv = ["train", "--audio", str(eval_rig.wav_dir), "--resume", str(half), "-o", str(rest)]
+        assert main(argv) == 0
+        assert "trained 4 steps" in capsys.readouterr().out
+        arrays, meta = container.read(rest, CHECKPOINT)
+        assert meta["train_config"] == cfg.to_dict() and meta["epochs_done"] == 3
+        for name, p in full.model.params.items():
+            assert arrays[f"p/{name}"].tobytes() == p.data.tobytes(), name
+
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"train": {**cfg.to_dict(), "epochs": 4}}))
+        assert main([*argv, "-c", str(other)]) == 2
+        assert "epochs 4 (checkpoint: 3)" in capsys.readouterr().err
 
 
 class TestSelftest:

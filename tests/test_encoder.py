@@ -204,6 +204,22 @@ class TestQueryBall:
                 want = ref.naive_query_ball(anchors, pts, radius, group_size)
                 np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("stage", [DEFAULT_CONFIG.stage1, DEFAULT_CONFIG.stage2])
+    def test_stacked_clouds_group_as_each_cloud_alone(self, stage):
+        rng = np.random.default_rng(stage.n_anchors + 1)
+        n_points = 256 if stage is DEFAULT_CONFIG.stage1 else DEFAULT_CONFIG.stage1.n_anchors
+        branches = [(br.radius, br.group_size) for br in stage.branches]
+        clouds = [random_cloud(rng, n_points), padded_cloud(rng, 37, n_points)]
+        clouds += [canonical_order(c) for c in clip_clouds(make_track(2, seconds=2.0))[:, :n_points]]
+        anchors = np.arange(stage.n_anchors)
+        stacked = query_ball_groups(anchors, np.stack(clouds), branches)
+        for (_, group_size), got in zip(branches, stacked):
+            assert got.shape == (len(clouds), stage.n_anchors, group_size)
+        for c, cloud in enumerate(clouds):
+            alone = query_ball_groups(anchors, cloud, branches)
+            for bi, want in enumerate(alone):
+                assert stacked[bi][c].tobytes() == want.tobytes(), (c, bi)
+
     def test_nan_point_never_joins_a_group(self):
         rng = np.random.default_rng(11)
         pts = random_cloud(rng, 40)
@@ -292,6 +308,36 @@ class TestEncoderForward:
             assert max(sizes) <= INFER_BATCH and max(sizes) - min(sizes) <= 1, (n, sizes)
             assert n == 1 or min(sizes) >= 2, (n, sizes)
 
+    def test_projected_first_layer_near_the_concatenated_input(self, monkeypatch):
+        # stage 2's first layer projects the stage-1 features, then gathers
+        # them; the concatenated input gives the same fingerprints up to rounding
+        rng = np.random.default_rng(21)
+        model = PeakEncoder(seed=0)
+        for name, p in model.params.items():
+            if name.endswith(".gamma"):
+                p.data = rng.uniform(-1.5, 1.5, p.data.shape).astype(p.data.dtype)
+        clouds = np.concatenate([clip_clouds(make_track(i, seconds=5.0)) for i in range(2)])
+        projected = model.fingerprints(clouds)
+
+        def concatenated(layer):
+            def run(x, *operands):  # the encoder passes gather last
+                *operands, gather = operands
+                if gather is not None:
+                    x = ad.concat([x, ad.gather_rows(*gather)], axis=1)
+                return layer(x, *operands)
+            return run
+
+        monkeypatch.setattr(ad, "frozen_mlp_layer", concatenated(ad.frozen_mlp_layer))
+        monkeypatch.setattr(ad, "frozen_max_layer", concatenated(ad.frozen_max_layer))
+        unprojected = model.fingerprints(clouds)
+        assert projected.tobytes() != unprojected.tobytes()
+        np.testing.assert_allclose(projected, unprojected, rtol=0, atol=1e-6)
+
+    def test_no_clouds_give_no_fingerprints(self):
+        for config in (DEFAULT_CONFIG, tiny_config()):
+            fps = PeakEncoder(config).fingerprints(np.zeros((0, 256, 3), dtype=np.float32))
+            assert fps.shape == (0, config.embed_dim) and fps.dtype == np.float32
+
     def test_zero_cloud_gets_fixed_unit_direction(self):
         model = PeakEncoder(seed=0)
         fp = model.fingerprints(np.zeros((1, 256, 3), dtype=np.float32))[0]
@@ -321,6 +367,27 @@ class TestStraightLineOracle:
                 model.running[name] = rng.uniform(-0.2, 0.2, model.running[name].shape)
             else:
                 model.running[name] = rng.uniform(0.5, 2.0, model.running[name].shape)
+        arrays = {k: p.data for k, p in model.params.items()}
+        for _ in range(3):
+            cloud = rng.random((16, 3))
+            got = model.encode(cloud[None], training=False).data[0]
+            want = straight_line_fingerprint(arrays, model.running, model.config, cloud)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+    def test_one_layer_mlps_and_negative_gammas_match_loop_reimplementation(self):
+        # every branch layer is projected and pooled at once, negative gammas
+        # pool by the min, and the global stage pools its input
+        rng = np.random.default_rng(6)
+        config = EncoderConfig(
+            stage1=StageSpec(8, (BranchSpec(2, 0.3, (4,)), BranchSpec(3, 0.5, (5,)))),
+            stage2=StageSpec(4, (BranchSpec(3, 0.6, (5,)),)),
+            global_mlp=(6,),
+        )
+        model = PeakEncoder(config=config, seed=6, dtype=np.float64)
+        for name, p in model.params.items():
+            if name.endswith(".gamma"):
+                p.data = rng.uniform(-1.5, 1.5, p.data.shape)
         arrays = {k: p.data for k, p in model.params.items()}
         for _ in range(3):
             cloud = rng.random((16, 3))

@@ -353,6 +353,34 @@ class TestTrainLoop:
                 == resumed.model.params[name].data.tobytes()
             )
 
+    def test_resume_refuses_another_config(self, toy_dataset, tmp_path):
+        cfg = tiny_cfg(epochs=3, steps_per_epoch=2)
+        ckpt = tmp_path / "half.ckpt"
+        train(toy_dataset, cfg, model=PeakEncoder(tiny_config(), seed=2), out_path=ckpt, stop_after=1)
+        for other, named in [
+            (tiny_cfg(epochs=4, steps_per_epoch=2), r"epochs 4 \(checkpoint: 3\)"),
+            (tiny_cfg(epochs=3, steps_per_epoch=3, seed=5), "steps_per_epoch 3.*seed 5"),
+        ]:
+            with pytest.raises(ConfigError, match=named):
+                train(toy_dataset, other, resume=ckpt)
+
+    @pytest.mark.parametrize(
+        "stored", [None, "epochs", {"epochs": "3"}, {"epochs": 3, "lr": 0.001}, {"seed": -1}]
+    )
+    def test_resume_refuses_a_malformed_stored_config(self, toy_dataset, tmp_path, stored):
+        ckpt = tmp_path / "half.ckpt"
+        cfg = tiny_cfg(epochs=2, steps_per_epoch=1)
+        train(toy_dataset, cfg, model=PeakEncoder(tiny_config()), out_path=ckpt, stop_after=1)
+        arrays, meta = container.read(ckpt, CHECKPOINT)
+        if stored is None:
+            del meta["train_config"]
+        else:
+            meta["train_config"] = stored
+        container.write(ckpt, CHECKPOINT, arrays, meta)
+        for given in (None, cfg):
+            with pytest.raises(DecodeError, match="train config"):
+                train(toy_dataset, given, resume=ckpt)
+
     def test_zero_epochs_keeps_initial_parameters(self, toy_dataset, tmp_path):
         fresh = PeakEncoder(tiny_config(), seed=9)
         model = PeakEncoder(tiny_config(), seed=9)
