@@ -88,8 +88,8 @@ def cmd_train(args) -> int:
     cfg = None
     if args.config or not args.resume:
         cfg = TrainConfig.from_dict(raw.get("train", {}) if sectioned else raw)
-    model = None
-    if "encoder" in raw and not args.resume:
+    model = None  # a resume checks an "encoder" section against the checkpoint's
+    if "encoder" in raw:
         model = PeakEncoder(EncoderConfig.from_dict(raw["encoder"]), seed=cfg.seed)
     tracks = _load_tracks(args.audio)
     dataset = SegmentDataset(tracks)
@@ -132,10 +132,10 @@ def cmd_build_index(args) -> int:
         "seed": args.seed,
     }
     db.save(args.db)
-    sizes = [len(l) for l in index.lists]
+    sizes = np.diff(index.cell_starts)
     print(
         f"ivfpq over {db.n_rows} rows: {index.centroids.shape[0]} cells "
-        f"(min {min(sizes)} / max {max(sizes)} rows), probing {index.n_probe}; "
+        f"(min {sizes.min()} / max {sizes.max()} rows), probing {index.n_probe}; "
         f"parameters stored in {args.db}"
     )
     return 0

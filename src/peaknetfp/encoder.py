@@ -73,8 +73,6 @@ log = logging.getLogger(__name__)
 
 # BatchNorm's running-statistics momentum
 BN_MOMENTUM = 0.1
-# config keys that older checkpoints store, with the only value the encoder has
-_PINNED = {"distance_mode": "3d", "bn_eps": ad.BN_EPS, "bn_momentum": BN_MOMENTUM}
 # most clouds per forward pass when fingerprinting: a stage-1 activation
 # (clouds x 200 x 16 x 64 float32) is 3.3 MB at 4, close to L2 size, so the
 # in-place affine and ReLU work in cache and peak memory stays low; on 2 vCPUs
@@ -128,17 +126,6 @@ class EncoderConfig(JsonConfig):
     @property
     def embed_dim(self) -> int:
         return self.global_mlp[-1]
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        """The :class:`JsonConfig` reader, after checking and dropping the
-        pinned keys that older checkpoints store."""
-        if isinstance(d, dict):
-            for key, value in _PINNED.items():
-                if d.get(key, value) != value:
-                    raise ConfigError(f"encoder {key} {d[key]!r} is not supported, only {value!r}")
-            d = {k: v for k, v in d.items() if k not in _PINNED}
-        return super().from_dict(d)
 
 
 DEFAULT_CONFIG = EncoderConfig(
@@ -426,30 +413,23 @@ class PeakEncoder:
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Parameters and running statistics from checkpoint arrays.
 
-        Older checkpoints also store a bias ``p/<layer>.b`` for normalized
-        layers. BatchNorm subtracts the mean after it, z + b − μ = z − (μ − b),
-        so such a bias is folded into that layer's running mean.
+        A ``p/`` or ``r/`` array the model does not have is refused; other
+        arrays, such as a training checkpoint's ``opt.*`` and ``dump/*``, are
+        not the model's and are left alone.
         """
-        for key, now in self.state()[0].items():
+        expected = self.state()[0]
+        extra = sorted(k for k in arrays if k.startswith(("p/", "r/")) and k not in expected)
+        if extra:
+            raise DecodeError(f"checkpoint has arrays the model does not: {', '.join(extra)}")
+        for key, now in expected.items():
             if key not in arrays or arrays[key].shape != now.shape:
                 raise DecodeError(f"checkpoint has no {key!r} of shape {now.shape}")
             if not np.isfinite(arrays[key]).all():
                 raise DecodeError(f"checkpoint {key!r} holds non-finite values")
-        means = {}
-        for name, now in self.running.items():
-            bias = arrays.get(f"p/{name.removesuffix('.rmean')}.b")
-            if not name.endswith(".rmean") or bias is None:
-                continue
-            if bias.shape != now.shape:
-                raise DecodeError(f"checkpoint bias of {name!r} is not of shape {now.shape}")
-            means[name] = arrays[f"r/{name}"].astype(self.dtype) - bias.astype(self.dtype)
-            if not np.isfinite(means[name]).all():
-                raise DecodeError(f"checkpoint bias of {name!r} is not finite")
         for name, p in self.params.items():
             p.data = arrays[f"p/{name}"].astype(self.dtype)
         for name in self.running:
             self.running[name] = arrays[f"r/{name}"].astype(self.dtype)
-        self.running.update(means)
 
     @classmethod
     def from_state(

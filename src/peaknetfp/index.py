@@ -7,11 +7,12 @@ since rows are unit-norm). Two backends provide the ranking:
 * exact search over the full matrix, taking each query's top k with
   :func:`smallest_k` (a partition, not a full sort; ties go to the lower
   row);
-* an inverted-file index with product-quantized residuals (IVFPQ) that probes
-  only the most promising coarse cells, ranks their rows by a lookup-table
-  estimate and re-scores the best ``RERANK`` of them with exact inner
-  products. It is built deterministically from the database and a seed, so
-  it is not serialized — rebuilding reproduces it bit for bit.
+* an inverted-file index with product-quantized residuals (IVFPQ) that, for
+  every query row in one call, probes only the most promising coarse cells,
+  ranks their rows by a lookup-table estimate and re-scores the best
+  ``RERANK`` of them with exact inner products; ties go to the lower row. It
+  is built deterministically from the database and a seed, so it is not
+  serialized — rebuilding reproduces it bit for bit.
 
 Multi-segment queries are resolved by :func:`sequence_match`. A query
 stretched by tempo factor f holds, in its segment i, track segment
@@ -222,7 +223,8 @@ class IVFPQIndex:
     db: FingerprintDB
     centroids: np.ndarray  # (n_list, dim) float64
     assignments: np.ndarray  # (n_rows,) int64 coarse cell per row
-    lists: list[np.ndarray]  # row ids per cell
+    cell_rows: np.ndarray  # the inverted file: row ids by cell, ascending within a cell
+    cell_starts: np.ndarray  # (n_list + 1,) where each cell's run in cell_rows starts
     codebooks: list[np.ndarray]  # per subspace: (k_eff, sub_dim) float64
     codes: np.ndarray  # (n_rows, m) uint8 codeword per subspace (k_sub <= 256)
     n_probe: int
@@ -250,23 +252,18 @@ class IVFPQIndex:
             n_probe = max(8, n_list // 8)
         centroids, assign = kmeans(v, n_list, seed=[seed, 0])
         n_list = centroids.shape[0]
-        lists = [np.flatnonzero(assign == i) for i in range(n_list)]
         residuals = v - centroids[assign]
         sub = dim // m
-        k_sub = min(256, n)
-        codebooks, codes = [], []
-        for j in range(m):
-            block = residuals[:, j * sub : (j + 1) * sub]
-            cb, lab = kmeans(block, k_sub, seed=[seed, 1 + j])
-            codebooks.append(cb)
-            codes.append(lab.astype(np.uint8))
+        books = [kmeans(residuals[:, j * sub : (j + 1) * sub], min(256, n), seed=[seed, 1 + j])
+                 for j in range(m)]
         return cls(
             db=db,
             centroids=centroids,
             assignments=assign,
-            lists=lists,
-            codebooks=codebooks,
-            codes=np.stack(codes, axis=1),
+            cell_rows=np.argsort(assign, kind="stable"),
+            cell_starts=np.r_[0, np.cumsum(np.bincount(assign, minlength=n_list))],
+            codebooks=[cb for cb, _ in books],
+            codes=np.stack([labels for _, labels in books], axis=1).astype(np.uint8),
             n_probe=min(n_probe, n_list),
         )
 
@@ -286,34 +283,53 @@ class IVFPQIndex:
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Approximate top-k rows; same contract as FingerprintDB.search.
 
-        Candidates from the probed cells are ranked by their quantized score,
-        then the best ``max(RERANK, k)`` of them are re-scored with exact
-        inner products, so every returned score is exact. Rows the probe
-        never reached are padded as row -1 / score -inf.
+        One call probes every query row at once. A row's candidates, the rows
+        of its ``n_probe`` best cells (ties to the lower cell), are ranked by
+        their quantized score, and the best ``max(RERANK, k)`` of them are
+        re-scored with exact inner products, so every returned score is
+        exact. Ties at either stage go to the lower row. Rows the probe never
+        reached are padded as row -1 / score -inf.
         """
         q = _checked_queries(queries, self.db.dim, k, np.float64)
-        m = self.codes.shape[1]
-        sub = self.db.dim // m
-        k_out = min(k, self.db.n_rows)
-        rows_out = np.full((q.shape[0], k_out), -1, dtype=np.int64)
-        scores_out = np.full((q.shape[0], k_out), -np.inf)
-        q32 = q.astype(np.float32)
-        for qi in range(q.shape[0]):
-            cell_scores = self.centroids @ q[qi]
-            probe = np.argsort(-cell_scores, kind="stable")[: self.n_probe]
-            rows = np.concatenate([self.lists[p] for p in probe])
-            if rows.size == 0:
-                continue
-            est = cell_scores[self.assignments[rows]].copy()
-            for j in range(m):
-                lut = self.codebooks[j] @ q[qi, j * sub : (j + 1) * sub]
-                est += lut[self.codes[rows, j]]
-            rows = rows[np.lexsort((rows, -est))[: max(RERANK, k_out)]]
-            est = self.db.matrix[rows] @ q32[qi]
-            order = np.lexsort((rows, -est))[:k_out]
-            rows_out[qi, : order.size] = rows[order]
-            scores_out[qi, : order.size] = est[order]
-        return rows_out, scores_out
+        n_q, n, m = q.shape[0], self.db.n_rows, self.codes.shape[1]
+        k_out, sub = min(k, n), self.db.dim // m
+        # stacked matrix-vector products: per query row the same BLAS call,
+        # bit for bit, as for the row alone, which one matrix product is not
+        cell_scores = np.matmul(self.centroids, q[:, :, None])[..., 0]
+        probe = np.argsort(-cell_scores, axis=1, kind="stable")[:, : self.n_probe].ravel()
+        # the probed cells' runs of the inverted file, in ascending row order per query row
+        sizes = np.diff(self.cell_starts)[probe]
+        counts = sizes.reshape(n_q, self.n_probe).sum(axis=1)
+        run = np.repeat(self.cell_starts[probe] - np.cumsum(sizes) + sizes, sizes)
+        cand_q = np.repeat(np.arange(n_q), counts)
+        cand = np.sort(cand_q * n + self.cell_rows[run + np.arange(run.size)]) - cand_q * n
+        # the cell score, then the m lookup-table terms in subspace order
+        est = cell_scores[cand_q, self.assignments[cand]]
+        codes = self.codes.view(f"V{m}")[cand, 0].view(np.uint8).reshape(-1, m).T  # one gather
+        lut = np.empty((n_q, 256))  # a code byte picks one of at most 256 codewords
+        for j, cb in enumerate(self.codebooks):
+            lut[:, : len(cb)] = np.matmul(cb, q[:, j * sub : (j + 1) * sub, None])[..., 0]
+            est += lut.ravel()[cand_q * 256 + codes[j]]
+        # a (query row, candidate) layout, at least k wide, padded with estimate -inf and row n
+        col = np.arange(cand.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        neg = np.full((n_q, max(k_out, counts.max(initial=0))), np.inf)
+        neg[cand_q, col] = -est
+        layout = np.full(neg.shape, n)
+        layout[cand_q, col] = cand
+        top, _ = smallest_k(neg, min(max(RERANK, k_out), neg.shape[1]))
+        rows = np.take_along_axis(layout, top, axis=1)
+        # re-scored in float32, each query row's in the order of its estimate;
+        # a row's product can change in the last bit with the length of its
+        # block, so one call takes the query rows of one block length
+        exact = np.full(rows.shape, -np.inf)
+        kept = np.minimum(counts, rows.shape[1])
+        for c in np.unique(kept[kept > 0]).tolist():
+            sel = np.flatnonzero(kept == c)
+            q32 = q[sel, :, None].astype(np.float32)
+            exact[sel, :c] = np.matmul(self.db.matrix[rows[sel, :c]], q32)[..., 0]
+        order = np.lexsort((rows, -exact), axis=1)[:, :k_out]
+        rows = np.take_along_axis(rows, order, axis=1)
+        return np.where(rows < n, rows, -1), np.take_along_axis(exact, order, axis=1)
 
 
 # ---------------------------------------------------------------------------

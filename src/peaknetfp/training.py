@@ -182,20 +182,16 @@ def _full_state(
     return arrays, meta
 
 
-def _stored_config(meta: dict, cfg: TrainConfig | None) -> TrainConfig:
-    """The checkpoint's schedule; a ``cfg`` given too must equal it."""
-    try:
-        stored = TrainConfig.from_dict(meta.get("train_config"))
-    except ConfigError as exc:
-        raise DecodeError(f"checkpoint has no valid train config: {exc}") from exc
-    if cfg is None or cfg == stored:
+def _kept(what: str, stored, given):
+    """The checkpoint's config, which a resume keeps; one given must equal it."""
+    if given is None or given == stored:
         return stored
     differ = [
-        f"{f.name} {getattr(cfg, f.name)!r} (checkpoint: {getattr(stored, f.name)!r})"
-        for f in dataclasses.fields(TrainConfig)
-        if getattr(cfg, f.name) != getattr(stored, f.name)
+        f"{f.name} {getattr(given, f.name)!r} (checkpoint: {getattr(stored, f.name)!r})"
+        for f in dataclasses.fields(stored)
+        if getattr(given, f.name) != getattr(stored, f.name)
     ]
-    raise ConfigError(f"a resume keeps the checkpoint's train config; differs in {', '.join(differ)}")
+    raise ConfigError(f"a resume keeps the checkpoint's {what} config; differs in {', '.join(differ)}")
 
 
 def _restore_opt(
@@ -231,7 +227,8 @@ def train(
     ``resume`` continues from any of these checkpoints and reproduces the
     remaining epochs of an uninterrupted run exactly, learning-rate schedule
     included: it takes the checkpoint's train config when ``cfg`` is None,
-    and refuses a ``cfg`` that differs from it with ``ConfigError``. Without
+    and refuses a ``cfg`` that differs from it, or a ``model`` whose config
+    differs from the checkpoint's, with ``ConfigError``. Without
     ``resume``, a None ``cfg`` is ``TrainConfig()``. A non-finite loss aborts
     with a diagnostic dump next to ``out_path``.
     """
@@ -239,8 +236,14 @@ def train(
     start_epoch = 0
     if resume is not None:
         arrays, meta = container.read(resume, CHECKPOINT)
-        cfg = _stored_config(meta, cfg)
-        model = PeakEncoder.from_state(arrays, meta)
+        try:
+            stored = TrainConfig.from_dict(meta.get("train_config"))
+        except ConfigError as exc:
+            raise DecodeError(f"checkpoint has no valid train config: {exc}") from exc
+        cfg = _kept("train", stored, cfg)
+        resumed = PeakEncoder.from_state(arrays, meta)
+        _kept("encoder", resumed.config, model.config if model else None)
+        model = resumed
         opt, start_epoch = _restore_opt(model, arrays, meta)
         log.info("resumed from %s at epoch %d (step %d)", resume, start_epoch, opt.step)
     else:

@@ -300,6 +300,22 @@ class TestTrainResume:
         assert main([*argv, "-c", str(other)]) == 2
         assert "epochs 4 (checkpoint: 3)" in capsys.readouterr().err
 
+    def test_resume_checks_the_files_encoder_section(self, eval_rig, tmp_path, capsys):
+        cfg = TrainConfig(pairs_per_batch=2, epochs=2, steps_per_epoch=1, seed=4)
+        half = tmp_path / "half.ckpt"
+        train(SegmentDataset(eval_rig.tracks), cfg, model=PeakEncoder(small_encoder_config(), seed=1),
+              out_path=half, stop_after=1)
+        argv = ["train", "--audio", str(eval_rig.wav_dir), "--resume", str(half),
+                "-o", str(tmp_path / "rest.ckpt"), "-c", str(tmp_path / "cfg.json")]
+        encoder = small_encoder_config().to_dict()
+        for stored, code in ((encoder, 0), ({**encoder, "global_mlp": [32, 18]}, 2)):
+            (tmp_path / "cfg.json").write_text(json.dumps({"train": cfg.to_dict(), "encoder": stored}))
+            assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert "trained 1 steps" in out
+        assert "encoder config; differs in global_mlp (32, 18) (checkpoint: (32, 16))" in err
+        assert "stage1" not in err
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):
@@ -430,9 +446,12 @@ class TestPipeline:
             )
             == 0
         )
+        assert capsys.readouterr().out == (
+            f"ivfpq over 92 rows: 10 cells (min 2 / max 20 rows), probing 8; "
+            f"parameters stored in {db_path}\n"
+        )
         stored = FingerprintDB.load(db_path)
         assert stored.meta["ivfpq"]["m"] == 16
-        capsys.readouterr()
         code = main(
             [
                 "query",

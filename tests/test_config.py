@@ -127,8 +127,8 @@ def test_flat_config_refusals(cls, d):
         cls.from_dict(d)
 
 
-def test_pinned_keys_at_their_values_still_load():
-    d = {**_encoder_dict(), "distance_mode": "3d", "bn_eps": 1e-5, "bn_momentum": 0.1}
-    assert EncoderConfig.from_dict(d) == DEFAULT_CONFIG
-    with pytest.raises(ConfigError, match="bn_momentum"):
-        EncoderConfig.from_dict({**d, "bn_momentum": 0.5})
+@pytest.mark.parametrize("key, value", [("distance_mode", "3d"), ("bn_eps", 1e-5), ("bn_momentum", 0.1)])
+def test_formerly_pinned_keys_are_refused(key, value):
+    # older checkpoints stored these keys, at the only value the encoder has
+    with pytest.raises(ConfigError, match=key):
+        EncoderConfig.from_dict({**_encoder_dict(), key: value})

@@ -447,61 +447,66 @@ class TestCheckpointPersistence:
         other.save(p2)
         assert checkpoint_id(p1) != checkpoint_id(p2)
 
-    def test_pinned_config_keys_load_only_at_their_value(self, tmp_path):
+    def test_checkpoint_with_formerly_pinned_config_keys_refused(self, tmp_path):
         # checkpoints from before these options were pinned store them
         model = PeakEncoder(config=tiny_config(), seed=10)
         arrays, meta = model.state()
-        stored = {**meta["config"], "distance_mode": "3d", "bn_eps": 1e-5, "bn_momentum": 0.1}
         path = tmp_path / "old.ckpt"
-        container.write(path, CHECKPOINT, arrays, {"config": stored})
-        cloud = np.random.default_rng(10).random((16, 3)).astype(np.float32)
-        old = PeakEncoder.from_checkpoint(path)
-        np.testing.assert_array_equal(old.fingerprints(cloud[None]), model.fingerprints(cloud[None]))
-        for key, value in (("distance_mode", "2d"), ("bn_eps", 1e-3), ("bn_momentum", 0.01)):
-            container.write(path, CHECKPOINT, arrays, {"config": {**stored, key: value}})
+        for key, value in (("distance_mode", "3d"), ("bn_eps", 1e-5), ("bn_momentum", 0.1)):
+            container.write(path, CHECKPOINT, arrays, {"config": {**meta["config"], key: value}})
             with pytest.raises(DecodeError, match=key):
                 PeakEncoder.from_checkpoint(path)
 
-    @staticmethod
-    def _biased_state(model, seed):
-        """The model's state as a checkpoint from before normalized layers lost
-        their bias: a random ``p/<layer>.b`` and the running mean raised by it."""
-        rng = np.random.default_rng(seed)
+    def test_normalized_layer_bias_refused(self, tmp_path):
+        # checkpoints from before normalized layers lost their bias store a
+        # "p/<layer>.b" beside each running mean; the model has no such array
+        model = PeakEncoder(config=tiny_config(), seed=11)
         arrays, meta = model.state()
         for name in model.running:
             if name.endswith(".rmean"):
-                layer = name.removesuffix(".rmean")
-                bias = rng.normal(scale=0.5, size=arrays[f"r/{name}"].shape).astype(np.float32)
-                arrays[f"p/{layer}.b"] = bias
-                arrays[f"r/{name}"] = arrays[f"r/{name}"] + bias
-        return arrays, meta
-
-    def test_normalized_layer_bias_folds_into_running_mean(self, tmp_path):
-        rng = np.random.default_rng(11)
-        model = PeakEncoder(config=tiny_config(), seed=11)
-        for name in model.running:
-            lo, hi = (-0.2, 0.2) if name.endswith(".rmean") else (0.5, 2.0)
-            model.running[name] = rng.uniform(lo, hi, model.running[name].shape).astype(np.float32)
-        arrays, meta = self._biased_state(model, 12)
-        assert sum(k.endswith(".b") for k in arrays) == 10  # 9 normalized layers and g.l1
+                arrays[f"p/{name.removesuffix('.rmean')}.b"] = np.zeros_like(arrays[f"r/{name}"])
         path = tmp_path / "biased.ckpt"
         container.write(path, CHECKPOINT, arrays, meta)
-        clouds = rng.random((4, 16, 3)).astype(np.float32)
-        old = PeakEncoder.from_checkpoint(path)
-        assert old.params.keys() == model.params.keys()
-        np.testing.assert_allclose(old.fingerprints(clouds), model.fingerprints(clouds), atol=1e-5)
+        with pytest.raises(DecodeError, match=r"p/\S+\.l\d\.b"):
+            PeakEncoder.from_checkpoint(path)
 
     @pytest.mark.parametrize("bad", ["shape", "nan"])
     def test_bad_normalized_layer_bias_rejected(self, bad):
+        # a bias is refused whatever its values: misshapen or non-finite too
         model = PeakEncoder(config=tiny_config(), seed=13)
-        arrays, _ = self._biased_state(model, 14)
+        arrays, _ = model.state()
         key = "p/s2.b1.l0.b"
+        arrays[key] = np.ones(arrays["r/s2.b1.l0.rmean"].shape, np.float32)
         if bad == "shape":
             arrays[key] = arrays[key][:-1]
         else:
             arrays[key][1] = np.nan
-        with pytest.raises(DecodeError, match="s2.b1.l0.rmean"):
+        with pytest.raises(DecodeError, match=key):
             model.load_state(arrays)
+
+    @pytest.mark.parametrize("key", ["p/s2.b1.l0.b", "p/g.l1.extra", "r/g.l0.rmax"])
+    def test_unexpected_model_array_refused(self, key, tmp_path):
+        # "p/s2.b1.l0.b" is the bias that normalized layers had in checkpoints
+        # from before they lost it
+        model = PeakEncoder(config=tiny_config(), seed=13)
+        arrays, meta = model.state()
+        arrays[key] = np.zeros(arrays["r/s2.b1.l0.rmean"].shape, np.float32)
+        with pytest.raises(DecodeError, match=key):
+            model.load_state(arrays)
+        path = tmp_path / "extra.ckpt"
+        container.write(path, CHECKPOINT, arrays, meta)
+        with pytest.raises(DecodeError, match=key):
+            PeakEncoder.from_checkpoint(path)
+
+    def test_training_state_arrays_are_not_the_models(self):
+        model = PeakEncoder(config=tiny_config(), seed=14)
+        arrays, _ = model.state()
+        before = {k: a.copy() for k, a in arrays.items()}
+        arrays["opt.m/g.l0.w"] = np.ones_like(arrays["p/g.l0.w"])
+        arrays["dump/batch_clouds"] = np.ones((2, 16, 3), np.float32)
+        model.load_state(arrays)
+        for key, a in model.state()[0].items():
+            assert a.tobytes() == before[key].tobytes(), key
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = PeakEncoder(config=tiny_config(), seed=9)

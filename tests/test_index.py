@@ -1,4 +1,5 @@
 """Fingerprint database, exact and approximate retrieval, sequence matching."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import peaknetfp.reference as ref
+from ivfpq_loop import loop_search
 from peaknetfp.errors import ConfigError, ContractError, DataError, DecodeError
 from peaknetfp.index import (
     FingerprintDB,
@@ -350,6 +352,115 @@ class TestIVFPQ:
         db.meta["ivfpq"] = stored
         with pytest.raises(DecodeError):
             IVFPQIndex.from_meta(db)
+
+
+def clustered_search_db(seed: int):
+    """The search benchmark's collection: 50 tracks of 59 rows, 128-d unit
+    vectors around latent centres (50 rows each, 0.35 noise), and 19-row
+    queries cut from it with 0.05 noise."""
+    rng = np.random.default_rng(seed)
+    n_tracks, n_rows = 50, 50 * 59
+    centers = rng.normal(size=(-(-n_rows // 50), 128))
+    v = centers[np.repeat(np.arange(len(centers)), 50)[:n_rows]]
+    v = v + 0.35 * rng.normal(size=(n_rows, 128))
+    v = (v / np.linalg.norm(v, axis=1, keepdims=True)).astype(np.float32)
+    db = FingerprintDB()
+    for t in range(n_tracks):
+        db.add_track(f"t{t:04d}", v[t * 59 : (t + 1) * 59])
+    queries = []
+    for _ in range(12):
+        start = int(rng.integers(n_rows // 59)) * 59 + int(rng.integers(59 - 19 + 1))
+        q = v[start : start + 19] + 0.05 * rng.normal(size=(19, 128)).astype(np.float32)
+        queries.append((q / np.linalg.norm(q, axis=1, keepdims=True)).astype(np.float32))
+    return db, queries
+
+
+def assert_loop_equal(index, queries, k):
+    """The batched search returns the per-row loop's rows and scores, byte for byte."""
+    rows, scores = index.search(queries, k)
+    want_rows, want_scores = loop_search(index, queries, k)
+    assert (rows.dtype, rows.shape) == (want_rows.dtype, want_rows.shape)
+    assert (scores.dtype, scores.shape) == (want_scores.dtype, want_scores.shape)
+    assert rows.tobytes() == want_rows.tobytes()
+    assert scores.tobytes() == want_scores.tobytes()
+    return rows, scores
+
+
+class TestIVFPQLoopOracle:
+    def test_search_benchmark_collection(self):
+        db, queries = clustered_search_db(seed=11)
+        index = IVFPQIndex.build(db)
+        assert index.n_probe == 8 and len(index.centroids) == 55
+        for q in queries:
+            rows, _ = assert_loop_equal(index, q, k=20)
+            assert (rows >= 0).all()  # every row reaches more than RERANK candidates
+        assert_loop_equal(index, np.concatenate(queries[:3])[:50], k=20)
+
+    @pytest.mark.parametrize("n_queries", [0, 1, 19, 50])
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_query_row_counts_and_subspaces(self, n_queries, m):
+        db = make_db({"a": 150, "b": 90}, dim=32, seed=5)
+        index = IVFPQIndex.build(db, n_list=12, n_probe=3, m=m, seed=1)
+        queries = unit_rows(np.random.default_rng(6), n_queries, 32)
+        for k in (1, 20, 200):
+            assert_loop_equal(index, queries, k)
+
+    def test_padded_probe(self):
+        db = make_db({"a": 40}, dim=16, seed=1)
+        index = IVFPQIndex.build(db, n_list=8, n_probe=1, m=4, seed=0)
+        queries = unit_rows(np.random.default_rng(2), 19, 16)
+        rows, scores = assert_loop_equal(index, queries, k=30)
+        assert (rows == -1).any() and np.isneginf(scores[rows == -1]).all()
+        # a ninth cell that holds no row pads every slot of a query probing
+        # only it, in a call with other queries and in a call of its own
+        lonely = unit_rows(np.random.default_rng(3), 1, 16)
+        index = dataclasses.replace(
+            index,
+            centroids=np.concatenate([index.centroids, lonely.astype(np.float64)]),
+            cell_starts=np.r_[index.cell_starts, db.n_rows],
+        )
+        rows, scores = assert_loop_equal(index, np.concatenate([queries[:3], lonely]), k=30)
+        assert (rows[3] == -1).all() and np.isneginf(scores[3]).all() and (rows[0] >= 0).any()
+        assert_loop_equal(index, lonely, k=30)
+
+    def test_duplicate_rows_tie_to_the_lower_row(self):
+        rng = np.random.default_rng(3)
+        v = unit_rows(rng, 60, 16)
+        v[[7, 31, 44]] = v[2]
+        v[50:] = v[40:50]
+        db = FingerprintDB()
+        db.add_track("t", v)
+        index = IVFPQIndex.build(db, n_list=4, n_probe=2, m=4, seed=0)
+        rows, _ = assert_loop_equal(index, v[[2, 44, 45, 55]], k=6)
+        assert rows[0, :4].tolist() == [2, 7, 31, 44] == rows[1, :4].tolist()
+        assert rows[2, :2].tolist() == [45, 55]
+
+    def test_ties_across_cells_go_to_the_lower_row(self):
+        # a zero query scores every cell and every candidate 0, so the best
+        # RERANK of the two probed cells' rows are the lowest rows of both
+        db = make_db({"a": 600}, dim=16, seed=12)
+        index = IVFPQIndex.build(db, n_list=4, n_probe=2, m=4, seed=0)
+        rows, _ = assert_loop_equal(index, np.zeros((2, 16)), k=20)
+        probed = np.flatnonzero(np.isin(index.assignments, [0, 1]))
+        assert rows[0].tolist() == probed[:20].tolist() == rows[1].tolist()
+
+    def test_k_above_the_row_count(self):
+        db = make_db({"a": 9, "b": 4}, dim=16, seed=8)
+        index = IVFPQIndex.build(db, n_list=3, n_probe=2, m=4, seed=0)
+        rows, _ = assert_loop_equal(index, unit_rows(np.random.default_rng(9), 5, 16), k=50)
+        assert rows.shape == (5, 13)
+
+    def test_subspace_with_fewer_codewords(self):
+        # subspace 0 holds one of three fixed patterns, so with one coarse
+        # cell its residuals take three values and its k-means three codewords
+        rng = np.random.default_rng(4)
+        patterns = unit_rows(rng, 3, 4) * 0.6
+        v = np.concatenate([patterns[rng.integers(3, size=300)], unit_rows(rng, 300, 12) * 0.8], axis=1)
+        db = FingerprintDB()
+        db.add_track("t", v)
+        index = IVFPQIndex.build(db, n_list=1, n_probe=1, m=4, seed=0)
+        assert len(index.codebooks[0]) == 3 and len(index.codebooks[1]) == 256
+        assert_loop_equal(index, unit_rows(np.random.default_rng(5), 19, 16), k=20)
 
 
 @pytest.fixture(scope="module")
