@@ -11,12 +11,12 @@ in its order, so it equals the composition bit for bit. In training,
 hand-written backward. In inference, ``frozen_mlp_layer`` =
 relu(scale_bias(matmul(...))) with the affine of the frozen statistics runs
 in place on the matmul output and builds no tape: inference never tapes.
-``frozen_max_layer`` is ``frozen_mlp_layer`` then a max over groups of rows,
-bit for bit, with the affine and ReLU on the pooled rows only: both are
+Given a group size, ``frozen_mlp_layer`` also takes the max over groups of
+rows, bit for bit, with the affine and ReLU on the pooled rows only: both are
 monotone per channel, so it pools the matmul output (its min where the
-frozen scale is negative) first. Both frozen layers can take their input as
-``concat([x, table[rows]])`` without building it: they project the table
-once and gather the projected rows, which changes only the rounding.
+frozen scale is negative) first. It can take its input as
+``concat([x, table[rows]])`` without building it: it projects the table
+once and gathers the projected rows, which changes only the rounding.
 Training has no such rewrites: its layers keep the composition's order. A
 normalized layer has no bias: BatchNorm's mean subtraction would cancel it.
 ``batch_norm``, ``scale_bias`` and ``relu`` stay: they are the references the
@@ -292,14 +292,8 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
 
 def reduce_max(a: Tensor, axis: int) -> Tensor:
-    """Max along one axis; ties route the gradient to the lowest index.
-
-    The ``argmax`` the gradient needs runs only when the result is taped
-    (grad enabled and ``a`` requires grad); otherwise only the max is taken.
-    """
+    """Max along one axis; ties route the gradient to the lowest index."""
     out_data = a.data.max(axis=axis)
-    if not (_grad_enabled and a.requires_grad):
-        return Tensor(out_data)
     # argmax, several times faster along a short strided axis: rank the hits
     # from the end of the axis and keep the top rank, the lowest hit index
     hit = a.data == np.expand_dims(out_data, axis)
@@ -503,19 +497,39 @@ def mlp_layer(
     return out, mu, var
 
 
-def _frozen_layer(
-    op: str, x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, rmean: np.ndarray,
-    rvar: np.ndarray, gather: tuple[Tensor, np.ndarray] | None, group: int | None = None,
+def frozen_mlp_layer(
+    x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, rmean: np.ndarray, rvar: np.ndarray,
+    gather: tuple[Tensor, np.ndarray] | None = None, group: int | None = None,
 ) -> Tensor:
-    # z = x @ w, max-pooled over runs of group rows when a group is given,
-    # then the frozen BatchNorm affine and the ReLU in place
-    vectors = (gamma.data, beta.data, rmean, rvar)
+    """relu(scale_bias(matmul(x, w), scale, shift)) as one untaped op (inference mode).
+
+    Frozen BatchNorm is the affine ``scale = gamma / sqrt(rvar + eps)``,
+    ``shift = beta - rmean * scale``; it and the ReLU run in place on the
+    matmul output, one activation per layer instead of three. Inference builds
+    no tape: the result never requires grad, whatever its operands do. Every
+    bit matches the composition.
+
+    With ``gather = (table, rows)`` the layer's input is
+    ``concat([x, table[rows]])`` without building it: the matmul is
+    ``x @ w[:k] + (table @ w[k:])[rows]``, with ``k`` the width of ``x``. The
+    table is projected once however often its rows repeat, and the gathered
+    rows are as wide as the layer, not as the table; the result differs from
+    the concatenated input's only in rounding.
+
+    With ``group`` the result is the max over each run of ``group`` rows, bit
+    for bit, with the affine and ReLU on the pooled rows only.
+    ``relu(fl(fl(z * scale) + shift))`` is monotone in ``z`` per channel:
+    non-decreasing where ``scale >= 0``, non-increasing where ``scale < 0``.
+    So the group's max of the layer is the layer of the group's max of ``z``,
+    or of its min where ``scale < 0``.
+    """
+    op, vectors = "frozen_mlp_layer", (gamma.data, beta.data, rmean, rvar)
     if gather is None:
         _check_layer(op, x.data.shape, w, *vectors)
         z = x.data @ w.data
     else:
-        # the input is concat([x, table[rows]]): the first k rows of w take x,
-        # the rest project the table once, and the projected rows are gathered
+        # the first k rows of w take x, the rest project the table once, and
+        # the projected rows are gathered
         table, rows = gather
         if x.data.ndim != 2 or table.data.ndim != 2 or np.shape(rows) != x.data.shape[:1]:
             raise ShapeError(f"{op}: {np.shape(rows)} rows of {table.data.shape} beside {x.data.shape}")
@@ -538,44 +552,6 @@ def _frozen_layer(
     z += beta.data - rmean * scale
     np.maximum(z, 0, out=z)
     return Tensor(z)
-
-
-def frozen_mlp_layer(
-    x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, rmean: np.ndarray, rvar: np.ndarray,
-    gather: tuple[Tensor, np.ndarray] | None = None,
-) -> Tensor:
-    """relu(scale_bias(matmul(x, w), scale, shift)) as one untaped op (inference mode).
-
-    Frozen BatchNorm is the affine ``scale = gamma / sqrt(rvar + eps)``,
-    ``shift = beta - rmean * scale``; it and the ReLU run in place on the
-    matmul output, one activation per layer instead of three. Inference builds
-    no tape: the result never requires grad, whatever its operands do. Every
-    bit matches the composition.
-
-    With ``gather = (table, rows)`` the layer's input is
-    ``concat([x, table[rows]])`` without building it: the matmul is
-    ``x @ w[:k] + (table @ w[k:])[rows]``, with ``k`` the width of ``x``. The
-    table is projected once however often its rows repeat, and the gathered
-    rows are as wide as the layer, not as the table; the result differs from
-    the concatenated input's only in rounding.
-    """
-    return _frozen_layer("frozen_mlp_layer", x, w, gamma, beta, rmean, rvar, gather)
-
-
-def frozen_max_layer(
-    x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, rmean: np.ndarray, rvar: np.ndarray,
-    group: int, gather: tuple[Tensor, np.ndarray] | None = None,
-) -> Tensor:
-    """``frozen_mlp_layer`` then a max over each run of ``group`` rows, bit
-    for bit, with the affine and ReLU on the pooled rows only.
-
-    ``relu(fl(fl(z * scale) + shift))`` is monotone in ``z`` per channel:
-    non-decreasing where ``scale >= 0``, non-increasing where ``scale < 0``.
-    So the group's max of the layer is the layer of the group's max of ``z``,
-    or of its min where ``scale < 0``, and the affine and ReLU run on one row
-    per group instead of ``group``. ``gather`` is ``frozen_mlp_layer``'s.
-    """
-    return _frozen_layer("frozen_max_layer", x, w, gamma, beta, rmean, rvar, gather, group)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

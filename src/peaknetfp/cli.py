@@ -119,35 +119,28 @@ def cmd_build_db(args) -> int:
 
 def cmd_build_index(args) -> int:
     db = FingerprintDB.load(args.db)
-    if not args.ivfpq:
-        print(f"{args.db}: {len(db.track_ids)} tracks, {db.n_rows} rows, dim {db.dim}")
-        return 0
-    index = IVFPQIndex.build(
-        db, n_list=args.n_list, n_probe=args.n_probe, m=args.m, seed=args.seed
-    )
-    db.meta["ivfpq"] = {
-        "n_list": int(index.centroids.shape[0]),
-        "n_probe": int(index.n_probe),
-        "m": int(index.codes.shape[1]),
-        "seed": args.seed,
-    }
-    db.save(args.db)
+    print(f"{args.db}: {len(db.track_ids)} tracks, {db.n_rows} rows, dim {db.dim}")
+    index = IVFPQIndex.build(db)
     sizes = np.diff(index.cell_starts)
     print(
         f"ivfpq over {db.n_rows} rows: {index.centroids.shape[0]} cells "
-        f"(min {sizes.min()} / max {sizes.max()} rows), probing {index.n_probe}; "
-        f"parameters stored in {args.db}"
+        f"(min {sizes.min()} / max {sizes.max()} rows), probing {index.n_probe}"
     )
     return 0
 
 
+def _check_top(top: int) -> None:
+    if top < 1:
+        raise ConfigError(f"--top must be at least 1, got {top}")
+
+
 def cmd_query(args) -> int:
+    _check_top(args.top)
     db = FingerprintDB.load(args.db)
     model = PeakEncoder.from_checkpoint(args.model)
     samples = cut_query(load_audio(args.audio), DEFAULT_SAMPLE_RATE, args.offset, args.len, args.factor)
     emb = model.fingerprints(clip_clouds(samples))
-    backend = IVFPQIndex.from_meta(db) if args.ivfpq else None
-    matches = sequence_match(db, emb, k=args.k, backend=backend)
+    matches = sequence_match(db, emb, backend=IVFPQIndex.build(db) if args.ivfpq else None)
     if not matches:
         print("no match")
         return 0
@@ -198,6 +191,7 @@ def cmd_quadfp_build(args) -> int:
 
 
 def cmd_quadfp_query(args) -> int:
+    _check_top(args.top)
     db = QuadDB.load(args.db)
     samples = cut_query(load_audio(args.audio), DEFAULT_SAMPLE_RATE, args.offset, args.len, args.factor)
     matches = db.match(samples)
@@ -311,13 +305,10 @@ def build_parser() -> _Parser:
     s.add_argument("-o", "--out", required=True)
     s.set_defaults(func=cmd_build_db)
 
-    s = sub.add_parser("build-index", help="inspect a database / attach IVFPQ")
+    s = sub.add_parser(
+        "build-index", help="summarize a database and the IVFPQ index built from it; writes nothing"
+    )
     s.add_argument("--db", required=True)
-    s.add_argument("--ivfpq", action="store_true")
-    s.add_argument("--n-list", type=int)
-    s.add_argument("--n-probe", type=int)
-    s.add_argument("--m", type=int, default=16)
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_build_index)
 
     s = sub.add_parser("query", help="identify an audio excerpt")
@@ -327,7 +318,6 @@ def build_parser() -> _Parser:
     s.add_argument("--len", type=float, help="excerpt length in seconds (default: to the end)")
     s.add_argument("--offset", type=float, default=0.0)
     s.add_argument("--factor", type=float, default=1.0, help="tempo factor to apply")
-    s.add_argument("-k", type=int, default=20)
     s.add_argument("--top", type=int, default=5)
     s.add_argument("--ivfpq", action="store_true")
     s.set_defaults(func=cmd_query)

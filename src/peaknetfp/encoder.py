@@ -45,7 +45,7 @@ function with less work, in two rewrites:
 - each pooled layer (a branch's last layer, the global MLP's last normalized
   layer) max-pools ``x @ w`` over the group, or min-pools it where the frozen
   scale is negative, before its affine and ReLU, which are monotone per
-  channel; this is bit-exact (``autodiff.frozen_max_layer``).
+  channel; this is bit-exact (``autodiff.frozen_mlp_layer`` with a group).
 
 Training keeps its order: a projected first layer measured 3-6% faster per
 training step, but it retrains a different model, and the reordered
@@ -290,8 +290,9 @@ class PeakEncoder:
         run of ``group`` rows.
 
         Training runs ``mlp_layer`` on batch statistics and pools its output.
-        Inference runs the frozen layers and pools the last one before its
-        affine (``frozen_max_layer``); ``gather`` is the first frozen layer's.
+        Inference runs ``frozen_mlp_layer`` per layer and gives the last one
+        the group, so it pools before its affine; ``gather`` is the first
+        layer's.
         """
         for li in range(len(widths)):
             p = f"{prefix}.l{li}"
@@ -304,7 +305,7 @@ class PeakEncoder:
                 continue
             frozen = (w, gamma, beta, self.running[f"{p}.rmean"], self.running[f"{p}.rvar"])
             if li == len(widths) - 1:
-                return ad.frozen_max_layer(h, *frozen, group, gather)
+                return ad.frozen_mlp_layer(h, *frozen, gather, group)
             # rebinding h frees each layer's input as it goes
             h = ad.frozen_mlp_layer(h, *frozen, gather)
             gather = None

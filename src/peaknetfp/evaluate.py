@@ -48,7 +48,6 @@ class EvalConfig(JsonConfig):
     seed: int = 0
     system: str = "peaknetfp"
     backend: str = "exact"
-    k: int = 20
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(float(f) for f in self.factors))
@@ -63,23 +62,12 @@ class EvalConfig(JsonConfig):
             raise ConfigError(f"unknown system {self.system!r}")
         if self.backend not in ("exact", "ivfpq"):
             raise ConfigError(f"unknown backend {self.backend!r}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
     def config_hash(self) -> str:
         raw = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
         return hashlib.sha256(raw).hexdigest()[:16]
-
-
-def hr_at_1(predicted: list, truths: list) -> float:
-    """Fraction of queries whose rank-1 prediction equals the truth."""
-    if len(predicted) != len(truths):
-        raise DataError("prediction/truth lists differ in length")
-    if not truths:
-        raise DataError("hit rate over zero queries is undefined")
-    return sum(p == t for p, t in zip(predicted, truths)) / len(truths)
 
 
 def cut_query(
@@ -146,13 +134,6 @@ class EvalReport:
                 w.writerow([c[k] for k in CSV_COLUMNS])
 
 
-def _rank_tracks_peaknetfp(model, db, backend, query_audio, k):
-    clouds = clip_clouds(query_audio)
-    emb = model.fingerprints(clouds)
-    matches = sequence_match(db, emb, k=k, backend=backend)
-    return matches[0].track_id if matches else None
-
-
 def run_sweep(
     cfg: EvalConfig,
     tracks: list[tuple[str, np.ndarray]],
@@ -176,7 +157,7 @@ def run_sweep(
 
     backend = None
     if cfg.system == "peaknetfp" and cfg.backend == "ivfpq":
-        backend = IVFPQIndex.from_meta(db)
+        backend = IVFPQIndex.build(db)
 
     metadata = {
         "config": cfg.to_dict(),
@@ -194,7 +175,7 @@ def run_sweep(
     for fi, factor in enumerate(cfg.factors):
         for li, length in enumerate(cfg.lengths):
             rng = np.random.default_rng([cfg.seed, fi, li])
-            predicted, truths = [], []
+            hits = 0
             for _ in range(cfg.n_queries):
                 ti = int(rng.integers(len(tracks)))
                 track_id, samples = tracks[ti]
@@ -208,21 +189,19 @@ def run_sweep(
                 start_s = SEGMENT_HOP_SECONDS * int(rng.integers(hops))
                 query = cut_query(samples, DEFAULT_SAMPLE_RATE, start_s, length, factor)
                 if cfg.system == "peaknetfp":
-                    top = _rank_tracks_peaknetfp(model, db, backend, query, cfg.k)
+                    emb = model.fingerprints(clip_clouds(query))
+                    ranked = sequence_match(db, emb, backend=backend)
                 else:
                     ranked = quad_db.match(query)
-                    top = ranked[0].track_id if ranked else None
-                predicted.append(top)
-                truths.append(track_id)
-            hits = sum(p == t for p, t in zip(predicted, truths))
+                hits += bool(ranked) and ranked[0].track_id == track_id
             report.cells.append(
                 {
                     "system": cfg.system,
                     "factor": factor,
                     "length": length,
                     "n_queries": cfg.n_queries,
-                    "hits": int(hits),
-                    "hr_at_1": hr_at_1(predicted, truths),
+                    "hits": hits,
+                    "hr_at_1": hits / cfg.n_queries,
                 }
             )
     return report

@@ -11,7 +11,7 @@ since rows are unit-norm). Two backends provide the ranking:
   every query row in one call, probes only the most promising coarse cells,
   ranks their rows by a lookup-table estimate and re-scores the best
   ``RERANK`` of them with exact inner products; ties go to the lower row. It
-  is built deterministically from the database and a seed, so it is not
+  is built deterministically from the database alone, so it is not
   serialized — rebuilding reproduces it bit for bit.
 
 Multi-segment queries are resolved by :func:`sequence_match`. A query
@@ -235,15 +235,20 @@ class IVFPQIndex:
         db: FingerprintDB,
         n_list: int | None = None,
         n_probe: int | None = None,
-        m: int = 16,
+        m: int | None = None,
         seed: int = 0,
     ) -> "IVFPQIndex":
+        """The index of ``db``. Its defaults are the one configuration retrieval
+        uses: ceil(sqrt(rows)) cells, probing max(8, cells // 8) of them, and
+        the most subspaces, up to 16, that split the dimension evenly."""
         if any(p is not None and p < 1 for p in (m, n_list, n_probe)):
             raise ConfigError(f"need m, n_list, n_probe >= 1, got {m}, {n_list}, {n_probe}")
         if seed < 0:
             raise ConfigError(f"need seed >= 0, got {seed}")
         v = db.matrix.astype(np.float64)
         n, dim = v.shape
+        if m is None:
+            m = max(d for d in range(1, 17) if dim % d == 0)
         if dim % m:
             raise ConfigError(f"dim {dim} not divisible into {m} subspaces")
         if n_list is None:
@@ -266,19 +271,6 @@ class IVFPQIndex:
             codes=np.stack([labels for _, labels in books], axis=1).astype(np.uint8),
             n_probe=min(n_probe, n_list),
         )
-
-    @classmethod
-    def from_meta(cls, db: FingerprintDB) -> "IVFPQIndex":
-        """The index whose parameters ``build-index --ivfpq`` stored in
-        ``db.meta["ivfpq"]``; ``build``'s defaults and seed 0 without them.
-        A stored entry it cannot build from is a :class:`DecodeError`."""
-        params = db.meta.get("ivfpq", {})
-        try:
-            if not isinstance(params, dict) or any(type(v) is not int for v in params.values()):
-                raise ConfigError("not an object of integers")
-            return cls.build(db, **params)
-        except (TypeError, ValueError, ConfigError) as exc:
-            raise DecodeError(f"stored ivfpq parameters {params!r}: {exc}") from exc
 
     def search(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Approximate top-k rows; same contract as FingerprintDB.search.

@@ -292,10 +292,11 @@ class TestMlpLayer:
             ad.mlp_layer(x, w, v, ad.Tensor(np.ones(3)))
 
 
-def composed_frozen_mlp_layer(x, w, gamma, beta, rmean, rvar, gather=None):
+def composed_frozen_mlp_layer(x, w, gamma, beta, rmean, rvar, gather=None, group=None):
     """The reference ``frozen_mlp_layer`` must match bit for bit: the
     inference layer as separate ops. A ``gather`` projects the table with the
-    rows of ``w`` past the width of ``x``, then gathers the projected rows."""
+    rows of ``w`` past the width of ``x``, then gathers the projected rows; a
+    ``group`` takes the max over each run of ``group`` rows of the layer."""
     inv = (1.0 / np.sqrt(rvar.astype(np.float64) + ad.BN_EPS)).astype(gamma.data.dtype)
     scale = ad.mul(gamma, ad.constant(inv))
     shift = ad.sub(beta, ad.mul(ad.constant(rmean), scale))
@@ -308,13 +309,9 @@ def composed_frozen_mlp_layer(x, w, gamma, beta, rmean, rvar, gather=None):
             ad.matmul(x, ad.constant(w.data[:k])),
             ad.gather_rows(ad.matmul(table, ad.constant(w.data[k:])), rows),
         )
-    return ad.relu(ad.scale_bias(z, scale, shift))
-
-
-def composed_frozen_max_layer(x, w, gamma, beta, rmean, rvar, group, gather=None):
-    """The reference ``frozen_max_layer`` must match bit for bit: the frozen
-    layer on every row, then the max over each run of ``group`` rows."""
-    h = composed_frozen_mlp_layer(x, w, gamma, beta, rmean, rvar, gather)
+    h = ad.relu(ad.scale_bias(z, scale, shift))
+    if group is None:
+        return h
     return ad.reduce_max(ad.reshape(h, (-1, group, h.data.shape[1])), axis=1)
 
 
@@ -378,7 +375,6 @@ class TestFrozenMlpLayer:
         clouds = rng.random((3, 256, 3)).astype(np.float32)
         fused = model.encode(clouds, training=False).data
         monkeypatch.setattr(ad, "frozen_mlp_layer", composed_frozen_mlp_layer)
-        monkeypatch.setattr(ad, "frozen_max_layer", composed_frozen_max_layer)
         want = model.encode(clouds, training=False).data
         assert fused.tobytes() == want.tobytes()
 
@@ -436,7 +432,7 @@ class TestFrozenLayerGather:
         with pytest.raises(ShapeError):
             ad.frozen_mlp_layer(x, w, *frozen, (ad.Tensor(table.data[0]), idx))
         with pytest.raises(ShapeError):
-            ad.frozen_max_layer(x, w, *frozen, 2, (table, idx[1:]))
+            ad.frozen_mlp_layer(x, w, *frozen, (table, idx[1:]), group=2)
 
 
 class TestFrozenMaxLayer:
@@ -458,9 +454,9 @@ class TestFrozenMaxLayer:
     @pytest.mark.parametrize("groups, group", [(1, 1), (1, 16), (37, 1), (37, 4), (37, 16)])
     def test_bytes_equal_the_composed_ops(self, dtype, groups, group):
         operands = self._operands(groups, group, dtype)
-        fused = ad.frozen_max_layer(*operands, group)
+        fused = ad.frozen_mlp_layer(*operands, group=group)
         with ad.no_grad():
-            want = composed_frozen_max_layer(*operands, group)
+            want = composed_frozen_mlp_layer(*operands, group=group)
         assert fused.data.shape == (groups, 7) and not fused.requires_grad
         assert fused.data.dtype == want.data.dtype == dtype
         assert fused.data.tobytes() == want.data.tobytes()
@@ -477,16 +473,16 @@ class TestFrozenMaxLayer:
             np.float32, rows=36
         )
         gamma.data[1::2] *= -1.0
-        fused = ad.frozen_max_layer(x, w, gamma, beta, rmean, rvar, 4, gather)
+        fused = ad.frozen_mlp_layer(x, w, gamma, beta, rmean, rvar, gather, 4)
         with ad.no_grad():
-            want = composed_frozen_max_layer(x, w, gamma, beta, rmean, rvar, 4, gather)
+            want = composed_frozen_mlp_layer(x, w, gamma, beta, rmean, rvar, gather, 4)
         assert fused.data.shape == (9, 5) and fused.data.tobytes() == want.data.tobytes()
 
     def test_operands_are_never_written(self):
         operands = self._operands(37, 4, np.float32)
         arrays = [v.data if isinstance(v, ad.Tensor) else v for v in operands]
         before = [a.copy() for a in arrays]
-        out = ad.frozen_max_layer(*operands, 4)
+        out = ad.frozen_mlp_layer(*operands, group=4)
         for b, a in zip(before, arrays):
             assert a.tobytes() == b.tobytes() and not np.shares_memory(a, out.data)
 
@@ -494,7 +490,7 @@ class TestFrozenMaxLayer:
         operands = self._operands(3, 4, np.float32)
         for group in (0, 5, 24):
             with pytest.raises(ShapeError):
-                ad.frozen_max_layer(*operands, group)
+                ad.frozen_mlp_layer(*operands, group=group)
 
 
 class TestGraphMechanics:

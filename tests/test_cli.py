@@ -12,7 +12,7 @@ from peaknetfp import cli, container
 from peaknetfp.cli import main
 from peaknetfp.encoder import CHECKPOINT, DEFAULT_CONFIG, EncoderConfig, PeakEncoder, checkpoint_id
 from peaknetfp.errors import TrainingDiverged
-from peaknetfp.index import FingerprintDB
+from peaknetfp.index import FingerprintDB, IVFPQIndex
 from peaknetfp.quadfp import QUAD_KIND, QuadDB
 from peaknetfp.signal.audio import load_audio, stretch_audio
 from peaknetfp.signal.peaks import read_peaks
@@ -204,10 +204,9 @@ def _make_corpus(rig, tmp_path, flags):
     return ["make-corpus", "--out", str(tmp_path / "corpus"), "--n-tracks", "1", *flags]
 
 
-def _build_index(rig, tmp_path, flags):
-    db_path = tmp_path / "fp.db"
-    shutil.copy(rig.db_path, db_path)
-    return ["build-index", "--db", str(db_path), "--ivfpq", *flags]
+def _query(rig, tmp_path, extra):
+    return ["query", "--db", str(rig.db_path), "--model", str(rig.model_path),
+            "--audio", str(rig.wav_dir / "track000.wav"), "--len", "3", *extra]
 
 
 BAD_INPUTS = {  # case -> (argv builder, bad value, text the error line names)
@@ -225,7 +224,11 @@ BAD_INPUTS = {  # case -> (argv builder, bad value, text the error line names)
     "len-inf": (_quad_query, ["--len", "inf"], "finite"),
     "train-seed--1": (_config_with, {"train": {"seed": -1}}, "seed"),
     "eval-seed--1": (_config_with, {"seed": -1}, "seed"),
-    "ivfpq-seed--1": (_build_index, ["--seed", "-1"], "seed"),
+    "eval-k-retired": (_config_with, {"k": 20}, "field 'k'"),
+    "query-top--1": (_query, ["--top", "-1"], "--top"),
+    "query-top-0": (_query, ["--top", "0"], "--top"),
+    "quad-top--1": (_quad_query, ["--top", "-1"], "--top"),
+    "quad-top-0": (_quad_query, ["--top", "0"], "--top"),
     "corpus-seed--1": (_make_corpus, ["--seed", "-1"], "seed"),
     "corpus-seconds--5": (_make_corpus, ["--seconds", "-5"], "seconds"),
     "corpus-seconds-0": (_make_corpus, ["--seconds", "0"], "seconds"),
@@ -437,60 +440,69 @@ class TestPipeline:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("1\t")
 
+    def _ivfpq_query(self, rig, db_path):
+        return [
+            "query", "--db", str(db_path), "--model", str(rig.model_path),
+            "--audio", str(rig.wav_dir / "track001.wav"), "--len", "3", "--offset", "1.5",
+            "--ivfpq",
+        ]
+
     def test_ivfpq_index_roundtrip(self, eval_rig, tmp_path, capsys):
         db_path = tmp_path / "fp.db"
         shutil.copy(eval_rig.db_path, db_path)
-        assert (
-            main(
-                ["build-index", "--db", str(db_path), "--ivfpq", "--m", "16", "--n-probe", "8"]
-            )
-            == 0
-        )
+        assert main(["build-index", "--db", str(db_path)]) == 0
         assert capsys.readouterr().out == (
-            f"ivfpq over 92 rows: 10 cells (min 2 / max 20 rows), probing 8; "
-            f"parameters stored in {db_path}\n"
+            f"{db_path}: 4 tracks, 92 rows, dim 16\n"
+            "ivfpq over 92 rows: 10 cells (min 2 / max 20 rows), probing 8\n"
         )
-        stored = FingerprintDB.load(db_path)
-        assert stored.meta["ivfpq"]["m"] == 16
-        code = main(
-            [
-                "query",
-                "--db",
-                str(db_path),
-                "--model",
-                str(eval_rig.model_path),
-                "--audio",
-                str(eval_rig.wav_dir / "track001.wav"),
-                "--len",
-                "3",
-                "--offset",
-                "1.5",
-                "--ivfpq",
-            ]
-        )
-        assert code == 0
+        assert db_path.read_bytes() == eval_rig.db_path.read_bytes()  # writes nothing
+        assert main(self._ivfpq_query(eval_rig, db_path)) == 0
         assert capsys.readouterr().out.splitlines()[0].startswith("1\ttrack001")
 
-    @pytest.mark.parametrize(
-        "flags", [["--m", "0"], ["--m", "-1"], ["--n-list", "0"], ["--n-probe", "0"]]
-    )
-    def test_ivfpq_parameters_below_one_rejected(self, eval_rig, tmp_path, flags):
-        db_path = tmp_path / "fp.db"
-        shutil.copy(eval_rig.db_path, db_path)
-        assert main(["build-index", "--db", str(db_path), "--ivfpq", *flags]) == 2
-        assert db_path.read_bytes() == eval_rig.db_path.read_bytes()
+    def test_ivfpq_query_builds_with_the_defaults(self, eval_rig, monkeypatch, capsys):
+        built = []
+        real_build = IVFPQIndex.build.__func__
 
-    @pytest.mark.parametrize("stored", [{"bogus": 1}, {"n_probe": 0}])
-    def test_unbuildable_stored_ivfpq_is_decode_error(self, eval_rig, tmp_path, stored):
+        def spy(cls, db, **params):
+            built.append(params)
+            return real_build(cls, db, **params)
+
+        monkeypatch.setattr(IVFPQIndex, "build", classmethod(spy))
+        assert main(self._ivfpq_query(eval_rig, eval_rig.db_path)) == 0
+        assert built == [{}]
+
+    @pytest.mark.parametrize(
+        "stale", [{"n_list": 4, "n_probe": 2, "m": 4, "seed": 5}, {"bogus": 1}, {"n_probe": 0}]
+    )
+    def test_stale_stored_ivfpq_entry_is_ignored(self, eval_rig, tmp_path, capsys, stale):
+        # older build-index runs stored parameters in the database's info
+        assert main(self._ivfpq_query(eval_rig, eval_rig.db_path)) == 0
+        want = capsys.readouterr().out
         db = FingerprintDB.load(eval_rig.db_path)
-        db.meta["ivfpq"] = stored
+        db.meta["ivfpq"] = stale
         db_path = tmp_path / "fp.db"
         db.save(db_path)
-        argv = [
-            "query", "--db", str(db_path), "--model", str(eval_rig.model_path),
-            "--audio", str(eval_rig.wav_dir / "track001.wav"), "--len", "3", "--ivfpq",
-        ]
-        assert main(argv) == 2
+        assert main(self._ivfpq_query(eval_rig, db_path)) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("build-index", ["--ivfpq"]),
+            ("build-index", ["--n-list", "4"]),
+            ("build-index", ["--n-probe", "2"]),
+            ("build-index", ["--m", "16"]),
+            ("build-index", ["--seed", "0"]),
+            ("query", ["-k", "20"]),
+        ],
+    )
+    def test_retired_retrieval_flags_are_usage_errors(self, eval_rig, command, flags):
+        argv = ["build-index", "--db", str(eval_rig.db_path)]
+        if command == "query":
+            argv = self._ivfpq_query(eval_rig, eval_rig.db_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 1
 
     def test_evaluate_writes_reports(self, eval_rig, tmp_path):
         cfg_path = tmp_path / "ecfg.json"

@@ -22,7 +22,7 @@ RECORDED = [
     (
         EvalConfig(),
         '{"backend": "exact", "factors": [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.975, '
-        '1.05, 1.1, 1.2, 1.4, 1.6, 1.8, 2.0], "k": 20, "lengths": [2.0, 3.0, 5.0, '
+        '1.05, 1.1, 1.2, 1.4, 1.6, 1.8, 2.0], "lengths": [2.0, 3.0, 5.0, '
         '6.0, 10.0], "n_queries": 20, "seed": 0, "system": "peaknetfp"}',
     ),
     (
@@ -46,7 +46,7 @@ def test_default_json_is_byte_stable(cfg, text):
 
 
 def test_config_hash_is_stable():
-    assert EvalConfig().config_hash() == "f4d8db92da86752b"
+    assert EvalConfig().config_hash() == "e9e00e257f155b4f"
 
 
 @pytest.mark.parametrize(

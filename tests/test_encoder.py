@@ -319,16 +319,14 @@ class TestEncoderForward:
         clouds = np.concatenate([clip_clouds(make_track(i, seconds=5.0)) for i in range(2)])
         projected = model.fingerprints(clouds)
 
-        def concatenated(layer):
-            def run(x, *operands):  # the encoder passes gather last
-                *operands, gather = operands
-                if gather is not None:
-                    x = ad.concat([x, ad.gather_rows(*gather)], axis=1)
-                return layer(x, *operands)
-            return run
+        layer = ad.frozen_mlp_layer
 
-        monkeypatch.setattr(ad, "frozen_mlp_layer", concatenated(ad.frozen_mlp_layer))
-        monkeypatch.setattr(ad, "frozen_max_layer", concatenated(ad.frozen_max_layer))
+        def concatenated(x, w, gamma, beta, rmean, rvar, gather=None, group=None):
+            if gather is not None:
+                x = ad.concat([x, ad.gather_rows(*gather)], axis=1)
+            return layer(x, w, gamma, beta, rmean, rvar, group=group)
+
+        monkeypatch.setattr(ad, "frozen_mlp_layer", concatenated)
         unprojected = model.fingerprints(clouds)
         assert projected.tobytes() != unprojected.tobytes()
         np.testing.assert_allclose(projected, unprojected, rtol=0, atol=1e-6)

@@ -17,7 +17,6 @@ from peaknetfp.evaluate import (
     DEFAULT_LENGTHS,
     EvalConfig,
     cut_query,
-    hr_at_1,
     run_sweep,
 )
 from peaknetfp.quadfp import QUAD_KIND, QuadDB
@@ -60,7 +59,7 @@ class TestEvalConfig:
             {"n_queries": 0},
             {"system": "shazam"},
             {"backend": "annoy"},
-            {"k": 0},
+            {"seed": -1},
             {"factors": (float(np.nextafter(STRETCH_MIN, 0.0)),)},
             {"factors": (float(np.nextafter(STRETCH_MAX, 3.0)),)},
         ],
@@ -83,21 +82,8 @@ class TestEvalConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             EvalConfig.from_dict({"factors": [1.0], "mystery": 3})
-
-
-class TestHrAt1:
-    def test_values(self):
-        assert hr_at_1(["a", "b"], ["a", "b"]) == 1.0
-        assert hr_at_1(["x", "y"], ["a", "b"]) == 0.0
-        assert hr_at_1(["a", "b", "c", None], ["a", "b", "c", "d"]) == 0.75
-
-    def test_zero_queries_rejected(self):
-        with pytest.raises(DataError):
-            hr_at_1([], [])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            hr_at_1(["a"], ["a", "b"])
+        with pytest.raises(ConfigError, match="'k'"):  # a retired field
+            EvalConfig.from_dict({"k": 20})
 
 
 class TestCutQuery:
@@ -196,9 +182,9 @@ class TestRunSweep:
         assert report.cell(1.0, 2.0)["hr_at_1"] == 1.0
         assert report.metadata["backend"] == "ivfpq"
 
-    def test_ivfpq_backend_uses_the_stored_parameters(self, eval_rig, monkeypatch):
+    def test_ivfpq_backend_builds_with_the_defaults(self, eval_rig, monkeypatch):
         db = FingerprintDB.load(eval_rig.db_path)
-        db.meta["ivfpq"] = {"n_list": 4, "n_probe": 2, "m": 4, "seed": 5}
+        db.meta["ivfpq"] = {"n_list": 4, "n_probe": 2, "m": 4, "seed": 5}  # stale: ignored
         built = []
         real_build = IVFPQIndex.build.__func__
 
@@ -211,7 +197,7 @@ class TestRunSweep:
             factors=(1.0,), lengths=(2.0,), n_queries=2, seed=4, backend="ivfpq"
         )
         run_sweep(cfg, eval_rig.tracks, model=eval_rig.model, db=db)
-        assert built == [db.meta["ivfpq"]]
+        assert built == [{}]
 
     def test_missing_artifacts_rejected(self, eval_rig):
         with pytest.raises(ConfigError):

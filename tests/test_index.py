@@ -308,50 +308,26 @@ class TestIVFPQ:
         assert index.codes.dtype == np.uint8
         assert int(index.codes.max()) == max(len(cb) for cb in index.codebooks) - 1
 
-    def test_from_meta_uses_the_stored_parameters(self):
-        db = make_db({"a": 30, "b": 20}, dim=16, seed=2)
-        db.meta["ivfpq"] = {"n_list": 5, "n_probe": 2, "m": 4, "seed": 3}
-        got = IVFPQIndex.from_meta(db)
-        want = IVFPQIndex.build(db, n_list=5, n_probe=2, m=4, seed=3)
-        assert (got.centroids.shape[0], got.n_probe, got.codes.shape[1]) == (5, 2, 4)
-        np.testing.assert_array_equal(got.centroids, want.centroids)
-        np.testing.assert_array_equal(got.codes, want.codes)
-        del db.meta["ivfpq"]  # nothing stored: build's defaults at seed 0
-        np.testing.assert_array_equal(
-            IVFPQIndex.from_meta(db).codes, IVFPQIndex.build(db, seed=0).codes
-        )
-
     def test_dim_must_split_into_subspaces(self):
         db = make_db({"a": 10}, dim=20, seed=1)
         with pytest.raises(ConfigError):
             IVFPQIndex.build(db, m=16)
 
+    @pytest.mark.parametrize("dim, m", [(16, 16), (20, 10), (6, 6), (128, 16)])
+    def test_default_subspaces_split_the_dimension(self, dim, m):
+        # the defaults index a database of any dimension, 16 subspaces where they fit
+        db = make_db({"a": 40}, dim=dim, seed=1)
+        assert IVFPQIndex.build(db).codes.shape == (40, m)
+
     @pytest.mark.parametrize(
         "params",
-        [{"m": 0}, {"m": -1}, {"n_list": 0}, {"n_list": -3}, {"n_probe": 0}, {"n_probe": -1}],
+        [{"m": 0}, {"m": -1}, {"n_list": 0}, {"n_list": -3}, {"n_probe": 0}, {"n_probe": -1},
+         {"seed": -1}],
     )
     def test_parameters_below_one_rejected(self, params):
         db = make_db({"a": 30}, dim=16, seed=1)
         with pytest.raises(ConfigError):
             IVFPQIndex.build(db, **params)
-
-    @pytest.mark.parametrize(
-        "stored",
-        [
-            {"bogus": 1},
-            {"m": 0},
-            {"n_probe": 0},
-            {"m": 5},  # 16 dims do not split into 5 subspaces
-            {"n_list": "4"},
-            {"seed": -1},
-            [4, 2],
-        ],
-    )
-    def test_unbuildable_stored_parameters_are_decode_errors(self, stored):
-        db = make_db({"a": 30}, dim=16, seed=1)
-        db.meta["ivfpq"] = stored
-        with pytest.raises(DecodeError):
-            IVFPQIndex.from_meta(db)
 
 
 def clustered_search_db(seed: int):
