@@ -13,19 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
-from . import reference as ref
 from .corpus import write_corpus
-from .encoder import EncoderConfig, PeakEncoder, checkpoint_id, query_ball_group
+from .encoder import EncoderConfig, PeakEncoder, checkpoint_id
 from .errors import ConfigError, ContractError, DataError, DecodeError, TrainingDiverged
 from .evaluate import EvalConfig, cut_query, run_sweep
 from .index import FingerprintDB, IVFPQIndex, sequence_match
-from .quadfp import HASH_EPSILON, QuadDB, box_matches
+from .quadfp import QuadDB
 from .signal.audio import DEFAULT_SAMPLE_RATE, SEGMENT_HOP_SECONDS, load_audio
-from .signal.peaks import PeakEntry, clip_clouds, extract_peaks, write_peaks
-from .training import SegmentDataset, TrainConfig, ntxent_loss, train
-
-log = logging.getLogger(__name__)
+from .signal.peaks import PeakEntry, clip_clouds, write_peaks
+from .training import SegmentDataset, TrainConfig, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,11 +48,14 @@ def _load_tracks(audio_dir: str) -> list[tuple[str, np.ndarray]]:
 
 def _read_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise DataError(f"no such config file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: a config file holds one JSON object, got {type(raw).__name__}")
+    return raw
 
 
 # -- subcommands --------------------------------------------------------------
@@ -129,16 +128,17 @@ def cmd_build_index(args) -> int:
     return 0
 
 
-def _check_top(top: int) -> None:
-    if top < 1:
-        raise ConfigError(f"--top must be at least 1, got {top}")
+def _excerpt(args) -> np.ndarray:
+    """Check `--top`, then cut the excerpt that `query` and `quadfp query` identify."""
+    if args.top < 1:
+        raise ConfigError(f"--top must be at least 1, got {args.top}")
+    return cut_query(load_audio(args.audio), DEFAULT_SAMPLE_RATE, args.offset, args.len, args.factor)
 
 
 def cmd_query(args) -> int:
-    _check_top(args.top)
+    samples = _excerpt(args)
     db = FingerprintDB.load(args.db)
     model = PeakEncoder.from_checkpoint(args.model)
-    samples = cut_query(load_audio(args.audio), DEFAULT_SAMPLE_RATE, args.offset, args.len, args.factor)
     emb = model.fingerprints(clip_clouds(samples))
     matches = sequence_match(db, emb, backend=IVFPQIndex.build(db) if args.ivfpq else None)
     if not matches:
@@ -153,10 +153,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    raw = _read_json(args.config) if args.config else {}
-    if args.system:  # `quadfp evaluate` presets the system
-        raw["system"] = args.system
-    cfg = EvalConfig.from_dict(raw)
+    cfg = EvalConfig.from_dict(_read_json(args.config) if args.config else {})
     tracks = _load_tracks(args.audio)
     model = db = quad_db = None
     if cfg.system == "peaknetfp":
@@ -191,10 +188,8 @@ def cmd_quadfp_build(args) -> int:
 
 
 def cmd_quadfp_query(args) -> int:
-    _check_top(args.top)
-    db = QuadDB.load(args.db)
-    samples = cut_query(load_audio(args.audio), DEFAULT_SAMPLE_RATE, args.offset, args.len, args.factor)
-    matches = db.match(samples)
+    samples = _excerpt(args)
+    matches = QuadDB.load(args.db).match(samples)
     if not matches:
         print("no match")
         return 0
@@ -206,72 +201,16 @@ def cmd_quadfp_query(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    """Fast cross-checks of the vectorized code against the loop references."""
-    rng = np.random.default_rng(0)
-    failures = []
-
-    def check(name: str, ok: bool) -> None:
-        print(f"{'pass' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures.append(name)
-
-    spec = rng.random((64, 48)).astype(np.float32)
-    cloud = extract_peaks(spec, 64)
-    check("peak extraction matches loop reference", np.array_equal(cloud, ref.naive_cloud(spec, 64)))
-
-    pts = rng.random((40, 3)).astype(np.float32)
-    got = query_ball_group(np.arange(8), pts, radius=0.4, group_size=4)
-    want = ref.naive_query_ball(np.arange(8), pts, 0.4, 4)
-    check("neighborhood grouping matches loop reference", np.array_equal(got, want))
-
-    z = rng.normal(size=(8, 16))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    loss = float(ntxent_loss(ad.Tensor(z), 0.1).data)
-    check(
-        "contrastive loss matches loop reference",
-        abs(loss - ref.naive_ntxent(z, 0.1)) < 1e-6,
-    )
-
-    w = ad.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-    x = rng.normal(size=(6, 5))
-    out = ad.reduce_sum(ad.relu(ad.matmul(ad.Tensor(x), w)))
-    out.backward()
-    fd = ref.finite_difference_grad(
-        lambda arrs: float(
-            np.sum(np.maximum(x @ arrs["w"], 0.0))
-        ),
-        {"w": w.data.copy().astype(np.float64)},
-    )["w"]
-    check("gradients match finite differences", np.abs(w.grad - fd).max() < 1e-5)
-
-    hashes = rng.random((500, 4))
-    qdb = QuadDB()
-    qdb.add_track_quads("t", {"hash": hashes, "t0": np.zeros(500), "dt": np.full(500, 0.5)})
-    ok = all(
-        np.array_equal(qdb.candidates(q), box_matches(hashes, q, HASH_EPSILON))
-        for q in rng.random((20, 4))
-    )
-    check("quad lookup matches linear scan", ok)
-
-    v = rng.normal(size=(60, 16)).astype(np.float32)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    fdb = FingerprintDB()
-    fdb.add_track("t", v)
-    rows, _ = fdb.search(v[:5], k=4)
-    ok = all(
-        list(rows[i]) == [r for r, _ in ref.naive_mips(fdb.matrix, v[i], 4)]
-        for i in range(5)
-    )
-    check("inner-product search matches loop reference", ok)
-
-    if failures:
-        raise ContractError(f"selftest failures: {', '.join(failures)}")
-    print("all checks passed")
-    return 0
-
-
 # -- parser -------------------------------------------------------------------
+
+
+def _add_excerpt_args(s: argparse.ArgumentParser) -> None:
+    """The flags of `query` and `quadfp query` that choose the excerpt."""
+    s.add_argument("--audio", required=True)
+    s.add_argument("--len", type=float, help="excerpt length in seconds (default: to the end)")
+    s.add_argument("--offset", type=float, default=0.0)
+    s.add_argument("--factor", type=float, default=1.0, help="tempo factor to apply")
+    s.add_argument("--top", type=int, default=5)
 
 
 def build_parser() -> _Parser:
@@ -314,11 +253,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("query", help="identify an audio excerpt")
     s.add_argument("--db", required=True)
     s.add_argument("--model", required=True)
-    s.add_argument("--audio", required=True)
-    s.add_argument("--len", type=float, help="excerpt length in seconds (default: to the end)")
-    s.add_argument("--offset", type=float, default=0.0)
-    s.add_argument("--factor", type=float, default=1.0, help="tempo factor to apply")
-    s.add_argument("--top", type=int, default=5)
+    _add_excerpt_args(s)
     s.add_argument("--ivfpq", action="store_true")
     s.set_defaults(func=cmd_query)
 
@@ -329,7 +264,7 @@ def build_parser() -> _Parser:
     s.add_argument("--model")
     s.add_argument("--quad-db")
     s.add_argument("-o", "--out", required=True, help="JSONL report path")
-    s.set_defaults(func=cmd_evaluate, system=None)
+    s.set_defaults(func=cmd_evaluate)
 
     q = sub.add_parser("quadfp", help="quad-constellation baseline")
     qsub = q.add_subparsers(dest="quad_command", required=True)
@@ -341,22 +276,8 @@ def build_parser() -> _Parser:
 
     s = qsub.add_parser("query")
     s.add_argument("--db", required=True)
-    s.add_argument("--audio", required=True)
-    s.add_argument("--len", type=float)
-    s.add_argument("--offset", type=float, default=0.0)
-    s.add_argument("--factor", type=float, default=1.0)
-    s.add_argument("--top", type=int, default=5)
+    _add_excerpt_args(s)
     s.set_defaults(func=cmd_quadfp_query)
-
-    s = qsub.add_parser("evaluate")
-    s.add_argument("-c", "--config")
-    s.add_argument("--audio", required=True)
-    s.add_argument("--db", dest="quad_db", required=True)
-    s.add_argument("-o", "--out", required=True)
-    s.set_defaults(func=cmd_evaluate, system="quadfp")
-
-    s = sub.add_parser("selftest", help="run the built-in oracle cross-checks")
-    s.set_defaults(func=cmd_selftest)
 
     return p
 

@@ -109,6 +109,8 @@ def make_track(index: int, seconds: float = TRACK_SECONDS, seed: int = 0) -> np.
 def make_corpus(
     n_tracks: int = N_TRACKS, seconds: float = TRACK_SECONDS, seed: int = 0
 ) -> list[tuple[str, np.ndarray]]:
+    if n_tracks < 1:
+        raise ConfigError(f"need at least one track, got n_tracks {n_tracks}")
     return [(f"track{i:03d}", make_track(i, seconds, seed)) for i in range(n_tracks)]
 
 

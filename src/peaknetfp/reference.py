@@ -2,9 +2,8 @@
 
 Everything here is deliberately written the slow, obvious way (python loops,
 float64 accumulation, no shared helpers with the production code) so it can
-serve as an independent oracle in tests and in the ``selftest`` CLI command.
-Do not "optimize" these by delegating to the functions they are meant to
-check.
+serve as an independent oracle in tests. Do not "optimize" these by
+delegating to the functions they are meant to check.
 """
 from __future__ import annotations
 

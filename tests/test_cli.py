@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,12 +195,13 @@ def _checkpoint_with_nan(rig, tmp_path, key):
 
 def _config_with(rig, tmp_path, raw):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(raw))
     if "train" in raw:
+        cfg.write_text(json.dumps(raw))
         return ["train", "--audio", str(rig.wav_dir), "-c", str(cfg),
                 "-o", str(tmp_path / "m.ckpt")]
-    return ["quadfp", "evaluate", "-c", str(cfg), "--audio", str(rig.wav_dir),
-            "--db", str(rig.quad_path), "-o", str(tmp_path / "r.jsonl")]
+    cfg.write_text(json.dumps({"system": "quadfp", **raw} if isinstance(raw, dict) else raw))
+    return ["evaluate", "-c", str(cfg), "--audio", str(rig.wav_dir),
+            "--quad-db", str(rig.quad_path), "-o", str(tmp_path / "r.jsonl")]
 
 
 def _make_corpus(rig, tmp_path, flags):
@@ -232,6 +236,10 @@ BAD_INPUTS = {  # case -> (argv builder, bad value, text the error line names)
     "corpus-seed--1": (_make_corpus, ["--seed", "-1"], "seed"),
     "corpus-seconds--5": (_make_corpus, ["--seconds", "-5"], "seconds"),
     "corpus-seconds-0": (_make_corpus, ["--seconds", "0"], "seconds"),
+    "corpus-n-tracks-0": (_make_corpus, ["--n-tracks", "0"], "n_tracks"),
+    "corpus-n-tracks--1": (_make_corpus, ["--n-tracks", "-1"], "n_tracks"),
+    "train-config-list": (_config_with, ["train"], "JSON object"),
+    "eval-config-list": (_config_with, [], "JSON object"),
 }
 
 
@@ -242,6 +250,8 @@ class TestBadInputs:
         assert main(make_argv(eval_rig, tmp_path, value)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and names in err
+        if make_argv is _make_corpus:  # refused before any write
+            assert not (tmp_path / "corpus").exists()
 
 
 class TestTrainConfigFile:
@@ -318,14 +328,6 @@ class TestTrainResume:
         assert "trained 1 steps" in out
         assert "encoder config; differs in global_mlp (32, 18) (checkpoint: (32, 16))" in err
         assert "stage1" not in err
-
-
-class TestSelftest:
-    def test_selftest_passes(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "all checks passed" in out
-        assert "FAIL" not in out
 
 
 class TestPipeline:
@@ -559,18 +561,19 @@ class TestQuadCli:
     def test_evaluate(self, eval_rig, tmp_path):
         cfg_path = tmp_path / "ecfg.json"
         cfg_path.write_text(
-            json.dumps({"factors": [1.0], "lengths": [3.0], "n_queries": 2, "seed": 1})
+            json.dumps(
+                {"factors": [1.0], "lengths": [3.0], "n_queries": 2, "seed": 1, "system": "quadfp"}
+            )
         )
         out = tmp_path / "quad_report.jsonl"
         code = main(
             [
-                "quadfp",
                 "evaluate",
                 "-c",
                 str(cfg_path),
                 "--audio",
                 str(eval_rig.wav_dir),
-                "--db",
+                "--quad-db",
                 str(eval_rig.quad_path),
                 "-o",
                 str(out),
@@ -580,16 +583,58 @@ class TestQuadCli:
         meta = json.loads(out.read_text().splitlines()[0])
         assert meta["system"] == "quadfp"
 
-    def test_evaluate_equals_evaluate_with_the_quadfp_system(self, eval_rig, tmp_path):
-        grid = {"factors": [1.0, 1.2], "lengths": [3.0], "n_queries": 2, "seed": 1}
-        (tmp_path / "q.json").write_text(json.dumps(grid))
-        (tmp_path / "e.json").write_text(json.dumps({**grid, "system": "quadfp"}))
-        audio = ["--audio", str(eval_rig.wav_dir)]
-        quad = str(eval_rig.quad_path)
-        q_out, e_out = tmp_path / "q.jsonl", tmp_path / "e.jsonl"
-        q_args = ["quadfp", "evaluate", "-c", str(tmp_path / "q.json"), "--db", quad]
-        e_args = ["evaluate", "-c", str(tmp_path / "e.json"), "--quad-db", quad]
-        assert main(q_args + audio + ["-o", str(q_out)]) == 0
-        assert main(e_args + audio + ["-o", str(e_out)]) == 0
-        assert q_out.read_bytes() == e_out.read_bytes()
-        assert q_out.with_suffix(".csv").read_bytes() == e_out.with_suffix(".csv").read_bytes()
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_command_lines() -> list[str]:
+    """Every `peaknetfp ...` line in the README's fenced blocks, continuations joined."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    lines = (line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines())
+    return [line for line in lines if line.startswith("peaknetfp ")]
+
+
+class TestCommandLines:
+    @pytest.mark.parametrize(
+        "argv",
+        [["selftest"], ["quadfp", "evaluate", "--audio", "a/", "--db", "q.db", "-o", "r.jsonl"]],
+    )
+    def test_retired_commands_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+
+    @staticmethod
+    def _flag_help(argv, capsys) -> dict[str, list[str]]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        entries, flag = {}, None
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("  -"):
+                flag = line.split()[0]
+                entries[flag] = [line]
+            elif flag and line.startswith("   "):
+                entries[flag].append(line)
+            else:
+                flag = None
+        return entries
+
+    def test_query_commands_share_the_excerpt_flags(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        query = self._flag_help(["query"], capsys)
+        quad = self._flag_help(["quadfp", "query"], capsys)
+        shared = ["--audio", "--len", "--offset", "--factor", "--top"]
+        assert [query[f] for f in shared] == [quad[f] for f in shared]
+        assert set(query) - set(quad) == {"--model", "--ivfpq"}
+
+    def test_readme_command_lines_parse(self):
+        lines = _readme_command_lines()
+        assert len(lines) >= 8
+        unparsed = []
+        for line in lines:
+            try:
+                cli.build_parser().parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                unparsed.append(line)
+        assert unparsed == []
