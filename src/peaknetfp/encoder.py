@@ -292,7 +292,8 @@ class PeakEncoder:
         Training runs ``mlp_layer`` on batch statistics and pools its output.
         Inference runs ``frozen_mlp_layer`` per layer and gives the last one
         the group, so it pools before its affine; ``gather`` is the first
-        layer's.
+        layer's. With no layers (a one-entry global MLP) it pools ``h``
+        itself.
         """
         for li in range(len(widths)):
             p = f"{prefix}.l{li}"
@@ -309,6 +310,8 @@ class PeakEncoder:
             # rebinding h frees each layer's input as it goes
             h = ad.frozen_mlp_layer(h, *frozen, gather)
             gather = None
+        if not training:  # no layer to pool in: a plain max, with no argmax
+            return ad.constant(h.data.reshape(-1, group, h.data.shape[1]).max(axis=1))
         h = ad.reshape(h, (-1, group, int(h.data.shape[1])))
         return ad.reduce_max(h, axis=1)
 

@@ -34,8 +34,10 @@ from . import container
 from .errors import ConfigError, ContractError, DataError, DecodeError
 
 DB_KIND = "fp.db"
-# Lloyd iterations of every k-means run
+# most Lloyd rounds of a k-means run
 KMEANS_ITERS = 25
+# rows per block of k-means assignment
+ASSIGN_BLOCK = 512
 # IVFPQ candidates re-scored exactly per query (at least k)
 RERANK = 128
 
@@ -155,13 +157,16 @@ class FingerprintDB:
 
 
 def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """``KMEANS_ITERS`` rounds of Lloyd's algorithm with distance-weighted
-    seeding, in float64.
+    """At most ``KMEANS_ITERS`` rounds of Lloyd's algorithm with
+    distance-weighted seeding, in float64.
 
     Returns (centroids (k_eff, d), labels (n,)). ``k_eff`` can fall below
     ``k`` when the data has fewer distinct points. Empty clusters are reseeded
     to the point currently farthest from its centroid (lowest index on ties),
-    so the outcome is a pure function of (points, k, seed).
+    so a round is a pure function of the centroids it starts from, and the
+    outcome one of (points, k, seed). The rounds end early at a fixed point:
+    once a round gives back its centroids bit for bit, every later round
+    would too.
     """
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
@@ -170,24 +175,24 @@ def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
     k = min(k, n)
     rng = np.random.default_rng(seed)
 
-    # seeding: first uniform, then proportional to squared distance
+    # seeding: first uniform, then proportional to squared distance, each
+    # distance summed down the columns of a transposed copy
+    xt = np.ascontiguousarray(x.T)
     centroids = [x[int(rng.integers(n))]]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    d2 = _pairwise_rows((xt - centroids[0][:, None]) ** 2)
     while len(centroids) < k:
         total = d2.sum()
         if total <= 0.0:
             break  # fewer distinct points than k
         c = x[int(rng.choice(n, p=d2 / total))]
         centroids.append(c)
-        d2 = np.minimum(d2, ((x - c) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _pairwise_rows((xt - c[:, None]) ** 2))
     c = np.stack(centroids)
 
     x_sq = (x * x).sum(axis=1)
-    labels = np.zeros(n, dtype=np.int64)
     for _ in range(KMEANS_ITERS):
-        dist = _center_distances(x, x_sq, c)
-        labels = np.argmin(dist, axis=1)
-        best = dist[np.arange(n), labels]
+        start = c.copy()  # before a reseed writes into c
+        labels, best = _nearest(x, x_sq, c)
         counts = np.bincount(labels, minlength=c.shape[0])
         for empty in np.flatnonzero(counts == 0):
             far = int(np.argmax(best))
@@ -199,17 +204,55 @@ def kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
         # which is np.add.at's arithmetic bit for bit
         members = sparse.csr_matrix((np.ones(n), (labels, np.arange(n))), shape=(c.shape[0], n))
         c = (members @ x) / np.bincount(labels, minlength=c.shape[0])[:, None]
-    labels = np.argmin(_center_distances(x, x_sq, c), axis=1)
-    return c, labels
+        if c.tobytes() == start.tobytes():
+            break
+    return c, _nearest(x, x_sq, c)[0]
 
 
-def _center_distances(x: np.ndarray, x_sq: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``x_sq[:, None] - 2 x c^T + |c|^2`` bit for bit, in one (n, k) buffer."""
-    dist = x @ c.T
-    dist *= -2.0
-    dist += x_sq[:, None]
-    dist += (c * c).sum(axis=1)
-    return dist
+def _pairwise_rows(t: np.ndarray) -> np.ndarray:
+    """The column sums of ``t`` by whole-row additions, each bit for bit the
+    sum numpy gives that column as one contiguous run: pairwise summation,
+    which adds one by one below 8 values, in 8 interleaved partial sums up
+    to 128, and halves a longer run."""
+    d = len(t)
+    if d < 8:
+        res = np.zeros(t.shape[1])
+        for row in t:
+            res += row
+        return res
+    if d <= 128:
+        r = t[:8].copy()
+        end = d - d % 8
+        for i in range(8, end, 8):
+            r += t[i : i + 8]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in t[end:]:
+            res += row
+        return res
+    half = d // 2
+    half -= half % 8
+    return _pairwise_rows(t[:half]) + _pairwise_rows(t[half:])
+
+
+def _nearest(x: np.ndarray, x_sq: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest centroid (lowest index on ties) and its squared
+    distance ``x_sq - 2 x c^T + |c|^2``, in blocks of ``ASSIGN_BLOCK`` rows
+    so the distances stay in cache. Per element the arithmetic and its order
+    are those of one whole (n, k) matrix, and the BLAS gives a block the bits
+    of those rows of the whole product (``tests/kmeans_loop.py`` checks)."""
+    n = x.shape[0]
+    c_sq = (c * c).sum(axis=1)
+    labels = np.empty(n, dtype=np.int64)
+    best = np.empty(n)
+    for a in range(0, n, ASSIGN_BLOCK):
+        b = min(a + ASSIGN_BLOCK, n)
+        dist = x[a:b] @ c.T
+        dist *= -2.0
+        dist += x_sq[a:b, None]
+        dist += c_sq
+        labels[a:b] = np.argmin(dist, axis=1)
+        best[a:b] = np.take_along_axis(dist, labels[a:b, None], axis=1)[:, 0]
+    return labels, best
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,27 @@ class TestEncoderForward:
         assert projected.tobytes() != unprojected.tobytes()
         np.testing.assert_allclose(projected, unprojected, rtol=0, atol=1e-6)
 
+    def test_one_layer_global_mlp_pools_without_reduce_max(self, monkeypatch):
+        # global_mlp=(6,) leaves the global MLP no layer before its linear
+        config = EncoderConfig(tiny_config().stage1, tiny_config().stage2, global_mlp=(6,))
+        model = PeakEncoder(config, seed=4)
+        rng = np.random.default_rng(4)
+        clouds = np.stack([random_cloud(rng) for _ in range(3)])
+        # the taped pooling the global MLP used to run, spelled out
+        with ad.no_grad():
+            xyz = np.stack([canonical_order(c) for c in clouds])
+            xyz, feats = model._stage(xyz, None, config.stage1, "s1", False)
+            xyz, feats = model._stage(xyz, feats, config.stage2, "s2", False)
+            h = ad.concat([ad.constant(xyz.reshape(-1, 3)), feats], axis=1)
+            pooled = ad.reduce_max(ad.reshape(h, (3, xyz.shape[1], h.data.shape[1])), axis=1)
+            out = ad.linear(pooled, model.params["g.l0.w"], model.params["g.l0.b"])
+            want = ad.l2_normalize(out, axis=1).data.astype(np.float32)
+        calls = []
+        reduce_max = ad.reduce_max
+        monkeypatch.setattr(ad, "reduce_max", lambda *a, **kw: calls.append(1) or reduce_max(*a, **kw))
+        assert model.fingerprints(clouds).tobytes() == want.tobytes()
+        assert not calls
+
     def test_no_clouds_give_no_fingerprints(self):
         for config in (DEFAULT_CONFIG, tiny_config()):
             fps = PeakEncoder(config).fingerprints(np.zeros((0, 256, 3), dtype=np.float32))

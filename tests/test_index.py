@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import kmeans_loop
+import peaknetfp.index as index_mod
 import peaknetfp.reference as ref
 from ivfpq_loop import loop_search
 from peaknetfp.errors import ConfigError, ContractError, DataError, DecodeError
@@ -243,6 +245,112 @@ class TestKMeans:
             kmeans(np.zeros((0, 3)), 2, seed=0)
         with pytest.raises(ConfigError):
             kmeans(np.zeros((5, 3)), 0, seed=0)
+
+
+def assert_kmeans_equal(points, k, seed, got=None):
+    """``kmeans`` returns (or returned, as ``got``) the whole-matrix oracle's
+    centroids and labels, byte for byte."""
+    got = kmeans(points, k, seed) if got is None else got
+    for a, b in zip(got, kmeans_loop.kmeans(points, k, seed), strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+    return got
+
+
+@pytest.fixture
+def kmeans_rounds(monkeypatch):
+    """``kmeans`` that also returns how many Lloyd rounds it ran: each round
+    calls ``_nearest`` once, and the final labelling once more."""
+    calls = []
+    nearest = index_mod._nearest
+
+    def spy(*args):
+        calls.append(1)
+        return nearest(*args)
+
+    monkeypatch.setattr(index_mod, "_nearest", spy)
+
+    def run(points, k, seed):
+        calls.clear()
+        out = kmeans(points, k, seed)
+        return len(calls) - 1, out
+
+    return run
+
+
+class TestKMeansOracle:
+    def test_search_benchmark_collection(self, kmeans_rounds):
+        # the coarse run and all 16 product-quantizer runs of an IVFPQ build
+        db, _ = clustered_search_db(seed=1)
+        v = db.matrix.astype(np.float64)
+        rounds, (c, labels) = kmeans_rounds(v, 55, [0, 0])
+        assert_kmeans_equal(v, 55, [0, 0], got=(c, labels))
+        assert rounds == 3
+        residuals = v - c[labels]
+        pq_rounds = []
+        for j in range(16):
+            sub, seed = residuals[:, j * 8 : (j + 1) * 8], [0, 1 + j]
+            rounds, got = kmeans_rounds(sub, 256, seed)
+            assert_kmeans_equal(sub, 256, seed, got=got)
+            pq_rounds.append(rounds)
+        # some runs end at their fixed point, some run every round
+        assert min(pq_rounds) < index_mod.KMEANS_ITERS == max(pq_rounds)
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 127, 128, 129, 300])
+    def test_widths(self, width):
+        # more rows than one assignment block, values over six decades
+        rng = np.random.default_rng(width)
+        x = rng.normal(size=(1100, width)) * 10.0 ** rng.uniform(-3, 3, size=width)
+        assert_kmeans_equal(x, 24, seed=[width, 0])
+
+    def test_k_above_distinct_points(self):
+        x = np.repeat(np.random.default_rng(4).normal(size=(7, 5)), 90, axis=0)
+        c, _ = assert_kmeans_equal(x, 12, seed=3)
+        assert len(c) == 7
+
+    def test_fixed_point_in_round_one(self, kmeans_rounds):
+        # every point its own centroid: the first round gives the seeds back
+        x = np.random.default_rng(6).normal(size=(40, 3))
+        rounds, got = kmeans_rounds(x, 40, 0)
+        assert_kmeans_equal(x, 40, 0, got=got)
+        assert rounds == 1
+
+    def test_run_capped_at_kmeans_iters(self, kmeans_rounds, monkeypatch):
+        x = np.random.default_rng(703).normal(size=(700, 3))
+        rounds, got = kmeans_rounds(x, 30, 0)
+        assert_kmeans_equal(x, 30, 0, got=got)
+        assert rounds == index_mod.KMEANS_ITERS
+        # the cap binds: allowed more rounds, the same run goes on
+        monkeypatch.setattr(index_mod, "KMEANS_ITERS", 100)
+        assert index_mod.KMEANS_ITERS > kmeans_rounds(x, 30, 0)[0] > rounds
+
+    def test_ivfpq_build(self, monkeypatch):
+        db, _ = clustered_search_db(seed=1)
+        got = IVFPQIndex.build(db)
+        monkeypatch.setattr(index_mod, "kmeans", kmeans_loop.kmeans)
+        want = IVFPQIndex.build(db)
+        for field in ("centroids", "assignments", "cell_rows", "cell_starts", "codes"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+        assert len(got.codebooks) == len(want.codebooks) == 16
+        for a, b in zip(got.codebooks, want.codebooks):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert got.n_probe == want.n_probe
+
+
+class TestPairwiseRows:
+    def test_matches_numpy_summation_order(self):
+        # kmeans seeds with these sums; if a numpy adds a row's terms in
+        # another order, this fails before any IVFPQ result shifts
+        differ = []
+        for width in range(1, 301):
+            rng = np.random.default_rng(width)
+            x = rng.normal(size=(64, width)) * 10.0 ** rng.uniform(-4, 4, size=(64, width))
+            c = x[5] * rng.uniform(-2, 2, size=width)
+            got = index_mod._pairwise_rows((np.ascontiguousarray(x.T) - c[:, None]) ** 2)
+            if got.tobytes() != ((x - c) ** 2).sum(axis=1).tobytes():
+                differ.append(width)
+        assert not differ, f"numpy sums rows of these widths in another order: {differ}"
 
 
 class TestIVFPQ:
