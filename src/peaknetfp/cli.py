@@ -17,7 +17,7 @@ from .corpus import write_corpus
 from .encoder import EncoderConfig, PeakEncoder, checkpoint_id
 from .errors import ConfigError, ContractError, DataError, DecodeError, TrainingDiverged
 from .evaluate import EvalConfig, cut_query, run_sweep
-from .index import FingerprintDB, IVFPQIndex, sequence_match
+from .index import FingerprintDB, sequence_match
 from .quadfp import QuadDB
 from .signal.audio import DEFAULT_SAMPLE_RATE, SEGMENT_HOP_SECONDS, load_audio
 from .signal.peaks import PeakEntry, clip_clouds, write_peaks
@@ -82,14 +82,15 @@ def cmd_extract_peaks(args) -> int:
 def cmd_train(args) -> int:
     raw = _read_json(args.config) if args.config else {}
     # a file with a "train" or an "encoder" section, or else a bare train
-    # config; a resume without a file takes the checkpoint's config
-    sectioned = "train" in raw or "encoder" in raw
+    # config; without a train config a resume keeps the checkpoint's
     cfg = None
-    if args.config or not args.resume:
-        cfg = TrainConfig.from_dict(raw.get("train", {}) if sectioned else raw)
+    if "train" in raw or (args.config and "encoder" not in raw):
+        cfg = TrainConfig.from_dict(raw.get("train", raw))
+    elif not args.resume:
+        cfg = TrainConfig()
     model = None  # a resume checks an "encoder" section against the checkpoint's
-    if "encoder" in raw:
-        model = PeakEncoder(EncoderConfig.from_dict(raw["encoder"]), seed=cfg.seed)
+    if "encoder" in raw:  # and takes the checkpoint's weights, so the seed is moot
+        model = PeakEncoder(EncoderConfig.from_dict(raw["encoder"]), seed=cfg.seed if cfg else 0)
     tracks = _load_tracks(args.audio)
     dataset = SegmentDataset(tracks)
     result = train(
@@ -116,16 +117,15 @@ def cmd_build_db(args) -> int:
     return 0
 
 
-def cmd_build_index(args) -> int:
-    db = FingerprintDB.load(args.db)
-    print(f"{args.db}: {len(db.track_ids)} tracks, {db.n_rows} rows, dim {db.dim}")
-    index = IVFPQIndex.build(db)
-    sizes = np.diff(index.cell_starts)
-    print(
-        f"ivfpq over {db.n_rows} rows: {index.centroids.shape[0]} cells "
-        f"(min {sizes.min()} / max {sizes.max()} rows), probing {index.n_probe}"
-    )
-    return 0
+def _model_for(db: FingerprintDB, model_path: str) -> PeakEncoder:
+    """Load the model at `model_path`, refusing one that did not build `db`."""
+    model = PeakEncoder.from_checkpoint(model_path)
+    built_by, given = db.meta.get("checkpoint_id"), checkpoint_id(model_path)
+    if built_by and built_by != given:
+        raise DataError(
+            f"{model_path} (checkpoint {given}) did not build the database (checkpoint {built_by})"
+        )
+    return model
 
 
 def _excerpt(args) -> np.ndarray:
@@ -138,9 +138,9 @@ def _excerpt(args) -> np.ndarray:
 def cmd_query(args) -> int:
     samples = _excerpt(args)
     db = FingerprintDB.load(args.db)
-    model = PeakEncoder.from_checkpoint(args.model)
+    model = _model_for(db, args.model)
     emb = model.fingerprints(clip_clouds(samples))
-    matches = sequence_match(db, emb, backend=IVFPQIndex.build(db) if args.ivfpq else None)
+    matches = sequence_match(db, emb)
     if not matches:
         print("no match")
         return 0
@@ -160,7 +160,7 @@ def cmd_evaluate(args) -> int:
         if not args.db or not args.model:
             raise ConfigError("peaknetfp evaluation needs --db and --model")
         db = FingerprintDB.load(args.db)
-        model = PeakEncoder.from_checkpoint(args.model)
+        model = _model_for(db, args.model)
     else:
         if not args.quad_db:
             raise ConfigError("quadfp evaluation needs --quad-db")
@@ -244,17 +244,10 @@ def build_parser() -> _Parser:
     s.add_argument("-o", "--out", required=True)
     s.set_defaults(func=cmd_build_db)
 
-    s = sub.add_parser(
-        "build-index", help="summarize a database and the IVFPQ index built from it; writes nothing"
-    )
-    s.add_argument("--db", required=True)
-    s.set_defaults(func=cmd_build_index)
-
     s = sub.add_parser("query", help="identify an audio excerpt")
     s.add_argument("--db", required=True)
     s.add_argument("--model", required=True)
     _add_excerpt_args(s)
-    s.add_argument("--ivfpq", action="store_true")
     s.set_defaults(func=cmd_query)
 
     s = sub.add_parser("evaluate", help="hit-rate sweep over factors and lengths")

@@ -114,12 +114,6 @@ class EvalReport:
     metadata: dict
     cells: list = field(default_factory=list)
 
-    def cell(self, factor: float, length: float) -> dict:
-        for c in self.cells:
-            if c["factor"] == factor and c["length"] == length:
-                return c
-        raise KeyError((factor, length))
-
     def write_jsonl(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"type": "meta", **self.metadata}, sort_keys=True) + "\n")

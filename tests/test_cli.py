@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 import re
 import shlex
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ from peaknetfp import cli, container
 from peaknetfp.cli import main
 from peaknetfp.encoder import CHECKPOINT, DEFAULT_CONFIG, EncoderConfig, PeakEncoder, checkpoint_id
 from peaknetfp.errors import TrainingDiverged
-from peaknetfp.index import FingerprintDB, IVFPQIndex
+from peaknetfp.index import FingerprintDB
 from peaknetfp.quadfp import QUAD_KIND, QuadDB
 from peaknetfp.signal.audio import load_audio, stretch_audio
 from peaknetfp.signal.peaks import read_peaks
@@ -208,9 +207,17 @@ def _make_corpus(rig, tmp_path, flags):
     return ["make-corpus", "--out", str(tmp_path / "corpus"), "--n-tracks", "1", *flags]
 
 
-def _query(rig, tmp_path, extra):
-    return ["query", "--db", str(rig.db_path), "--model", str(rig.model_path),
+def _query(rig, tmp_path, extra, db=None, model=None):
+    return ["query", "--db", str(db or rig.db_path), "--model", str(model or rig.model_path),
             "--audio", str(rig.wav_dir / "track000.wav"), "--len", "3", *extra]
+
+
+def _other_model(rig, tmp_path, key):
+    arrays, meta = container.read(rig.model_path, CHECKPOINT)
+    arrays[key] = arrays[key] * np.float32(0.5)
+    path = tmp_path / "other.ckpt"
+    container.write(path, CHECKPOINT, arrays, meta)  # a valid checkpoint of another model
+    return _query(rig, tmp_path, [], model=path)
 
 
 BAD_INPUTS = {  # case -> (argv builder, bad value, text the error line names)
@@ -231,6 +238,7 @@ BAD_INPUTS = {  # case -> (argv builder, bad value, text the error line names)
     "eval-k-retired": (_config_with, {"k": 20}, "field 'k'"),
     "query-top--1": (_query, ["--top", "-1"], "--top"),
     "query-top-0": (_query, ["--top", "0"], "--top"),
+    "query-other-model": (_other_model, "p/g.l0.w", "did not build the database"),
     "quad-top--1": (_quad_query, ["--top", "-1"], "--top"),
     "quad-top-0": (_quad_query, ["--top", "0"], "--top"),
     "corpus-seed--1": (_make_corpus, ["--seed", "-1"], "seed"),
@@ -321,11 +329,15 @@ class TestTrainResume:
         argv = ["train", "--audio", str(eval_rig.wav_dir), "--resume", str(half),
                 "-o", str(tmp_path / "rest.ckpt"), "-c", str(tmp_path / "cfg.json")]
         encoder = small_encoder_config().to_dict()
-        for stored, code in ((encoder, 0), ({**encoder, "global_mlp": [32, 18]}, 2)):
-            (tmp_path / "cfg.json").write_text(json.dumps({"train": cfg.to_dict(), "encoder": stored}))
-            assert main(argv) == code
+        for raw, code in (
+            ({"train": cfg.to_dict(), "encoder": encoder}, 0),
+            ({"encoder": encoder}, 0),  # no train section: the resume keeps the stored one
+            ({"train": cfg.to_dict(), "encoder": {**encoder, "global_mlp": [32, 18]}}, 2),
+        ):
+            (tmp_path / "cfg.json").write_text(json.dumps(raw))
+            assert main(argv) == code, raw
         out, err = capsys.readouterr()
-        assert "trained 1 steps" in out
+        assert out.count("trained 1 steps") == 2
         assert "encoder config; differs in global_mlp (32, 18) (checkpoint: (32, 16))" in err
         assert "stage1" not in err
 
@@ -442,49 +454,18 @@ class TestPipeline:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("1\t")
 
-    def _ivfpq_query(self, rig, db_path):
-        return [
-            "query", "--db", str(db_path), "--model", str(rig.model_path),
-            "--audio", str(rig.wav_dir / "track001.wav"), "--len", "3", "--offset", "1.5",
-            "--ivfpq",
-        ]
-
-    def test_ivfpq_index_roundtrip(self, eval_rig, tmp_path, capsys):
-        db_path = tmp_path / "fp.db"
-        shutil.copy(eval_rig.db_path, db_path)
-        assert main(["build-index", "--db", str(db_path)]) == 0
-        assert capsys.readouterr().out == (
-            f"{db_path}: 4 tracks, 92 rows, dim 16\n"
-            "ivfpq over 92 rows: 10 cells (min 2 / max 20 rows), probing 8\n"
-        )
-        assert db_path.read_bytes() == eval_rig.db_path.read_bytes()  # writes nothing
-        assert main(self._ivfpq_query(eval_rig, db_path)) == 0
-        assert capsys.readouterr().out.splitlines()[0].startswith("1\ttrack001")
-
-    def test_ivfpq_query_builds_with_the_defaults(self, eval_rig, monkeypatch, capsys):
-        built = []
-        real_build = IVFPQIndex.build.__func__
-
-        def spy(cls, db, **params):
-            built.append(params)
-            return real_build(cls, db, **params)
-
-        monkeypatch.setattr(IVFPQIndex, "build", classmethod(spy))
-        assert main(self._ivfpq_query(eval_rig, eval_rig.db_path)) == 0
-        assert built == [{}]
-
     @pytest.mark.parametrize(
         "stale", [{"n_list": 4, "n_probe": 2, "m": 4, "seed": 5}, {"bogus": 1}, {"n_probe": 0}]
     )
     def test_stale_stored_ivfpq_entry_is_ignored(self, eval_rig, tmp_path, capsys, stale):
-        # older build-index runs stored parameters in the database's info
-        assert main(self._ivfpq_query(eval_rig, eval_rig.db_path)) == 0
+        # older versions stored IVFPQ parameters in the database's info
+        assert main(_query(eval_rig, tmp_path, [])) == 0
         want = capsys.readouterr().out
         db = FingerprintDB.load(eval_rig.db_path)
         db.meta["ivfpq"] = stale
         db_path = tmp_path / "fp.db"
         db.save(db_path)
-        assert main(self._ivfpq_query(eval_rig, db_path)) == 0
+        assert main(_query(eval_rig, tmp_path, [], db=db_path)) == 0
         assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize(
@@ -498,10 +479,10 @@ class TestPipeline:
             ("query", ["-k", "20"]),
         ],
     )
-    def test_retired_retrieval_flags_are_usage_errors(self, eval_rig, command, flags):
+    def test_retired_retrieval_flags_are_usage_errors(self, eval_rig, tmp_path, command, flags):
         argv = ["build-index", "--db", str(eval_rig.db_path)]
         if command == "query":
-            argv = self._ivfpq_query(eval_rig, eval_rig.db_path)
+            argv = _query(eval_rig, tmp_path, [])
         with pytest.raises(SystemExit) as exc:
             main(argv + flags)
         assert exc.value.code == 1
@@ -597,7 +578,12 @@ def _readme_command_lines() -> list[str]:
 class TestCommandLines:
     @pytest.mark.parametrize(
         "argv",
-        [["selftest"], ["quadfp", "evaluate", "--audio", "a/", "--db", "q.db", "-o", "r.jsonl"]],
+        [
+            ["selftest"],
+            ["quadfp", "evaluate", "--audio", "a/", "--db", "q.db", "-o", "r.jsonl"],
+            ["build-index", "--db", "fp.db"],
+            ["query", "--db", "fp.db", "--model", "m.ckpt", "--audio", "q.wav", "--ivfpq"],
+        ],
     )
     def test_retired_commands_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -626,7 +612,7 @@ class TestCommandLines:
         quad = self._flag_help(["quadfp", "query"], capsys)
         shared = ["--audio", "--len", "--offset", "--factor", "--top"]
         assert [query[f] for f in shared] == [quad[f] for f in shared]
-        assert set(query) - set(quad) == {"--model", "--ivfpq"}
+        assert set(query) - set(quad) == {"--model"}
 
     def test_readme_command_lines_parse(self):
         lines = _readme_command_lines()

@@ -410,6 +410,15 @@ class TestIVFPQ:
         assert (rows[0] == -1).any()
         assert np.isneginf(scores[0][rows[0] == -1]).all()
 
+    def test_rig_database_defaults(self, eval_rig):
+        # the default configuration on the 92-row, 16-d database the
+        # command-line tests query
+        index = IVFPQIndex.build(eval_rig.db)
+        sizes = np.diff(index.cell_starts)
+        assert (eval_rig.db.n_rows, eval_rig.db.dim) == (92, 16)
+        assert (index.centroids.shape[0], sizes.min(), sizes.max()) == (10, 2, 20)
+        assert index.n_probe == 8
+
     def test_codes_are_bytes(self):
         db = make_db({"a": 300}, dim=16, seed=3)
         index = IVFPQIndex.build(db, n_list=4, n_probe=2, m=4, seed=0)
