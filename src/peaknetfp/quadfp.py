@@ -5,12 +5,13 @@ Tracks are reduced to strong spectrogram maxima; groups of four peaks
 that sends A to (0,0) and B to (1,1). Those four numbers are invariant to any
 affine rescaling of the time axis, so a tempo-modified query emits (nearly)
 the same hashes as the reference track. Retrieval finds the stored hashes
-within an epsilon box (a KD-tree query in the max norm), derives the implied
+within an epsilon box (one KD-tree query per excerpt), derives the implied
 stretch factor and track offset from each hit, and lets consistent (track,
 stretch, offset) cells vote.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +41,7 @@ HASH_EPSILON = 0.01
 STRETCH_BINS = 32  # log-spaced over STRETCH_MIN..STRETCH_MAX
 OFFSET_BIN_SECONDS = 0.25
 MAX_QUADS_PER_ROOT = 8
+CORNERS_PER_PASS = 3 * MAX_QUADS_PER_ROOT  # far corners per root in one array op
 
 
 def parabolic_refine(
@@ -116,6 +118,11 @@ def enumerate_quads(peaks: np.ndarray, per_second: int) -> dict[str, np.ndarray]
     frequency, so the box never degenerates) are tried strongest first; the
     two strongest peaks strictly inside the A-B box become C, D. A root
     yields at most MAX_QUADS_PER_ROOT quads.
+
+    The result is the first quads of all roots in visit order. Roots go in
+    blocks of as many as could still be needed, each block in array ops over
+    its roots' windows: the peaks that can be B, C or D, a run of the time
+    order.
     """
     fps = FRAMES_PER_SECOND
     peaks = peaks[strength_order(peaks[:, 0], peaks[:, 1], peaks[:, 2])]
@@ -127,26 +134,64 @@ def enumerate_quads(peaks: np.ndarray, per_second: int) -> dict[str, np.ndarray]
     by_sec = np.argsort(seconds, kind="stable")
     sec = seconds[by_sec]
     rank = np.arange(sec.size) - np.searchsorted(sec, sec)
-    quads: list[tuple[int, int, int, int]] = []
-    for ai in by_sec[np.lexsort((sec, rank))]:
-        if len(quads) >= target:
-            break
-        dt = t - t[ai]
-        far = np.flatnonzero(
-            (dt >= DT_MIN_SECONDS * fps)
-            & (dt <= DT_MAX_SECONDS * fps)
-            & (np.abs(f - f[ai]) >= MIN_DF_BINS)
-        )
-        first = len(quads)
-        for bi in far:
-            lo_f, hi_f = min(f[ai], f[bi]), max(f[ai], f[bi])
-            inner = np.flatnonzero((t > t[ai]) & (t < t[bi]) & (f > lo_f) & (f < hi_f))[:2]
-            if inner.size == 2:
-                quads.append((ai, bi, *inner))
-                if len(quads) - first == MAX_QUADS_PER_ROOT:
-                    break
-    a, b, c, d = peaks[np.array(quads[:target], dtype=np.int64).reshape(-1, 4).T]
+    roots = by_sec[np.lexsort((sec, rank))]
+    # a root's window: the peaks after it by at most DT_MAX_SECONDS, with a
+    # frame to spare for rounding, as a run [start, stop) of the time order
+    by_time = np.argsort(t, kind="stable")
+    t_sorted = t[by_time]
+    window = (
+        by_time,
+        np.searchsorted(t_sorted, t, side="right"),
+        np.searchsorted(t_sorted, t + (DT_MAX_SECONDS * fps + 1.0), side="right"),
+    )
+    found, n_found, done = [np.zeros((0, 4), dtype=np.int64)], 0, 0
+    while n_found < target and done < roots.size:
+        # as many roots as could still be needed, if each yields its most quads
+        need = -(-(target - n_found) // MAX_QUADS_PER_ROOT)
+        block, done = roots[done : done + need], done + need
+        found.append(_root_quads(block, t, f, window))
+        n_found += len(found[-1])
+    a, b, c, d = peaks[np.concatenate(found)[:target].T]
     return {"hash": quad_hash(a, b, c, d), "t0": a[:, 0] / fps, "dt": (b[:, 0] - a[:, 0]) / fps}
+
+
+def _root_quads(roots: np.ndarray, t: np.ndarray, f: np.ndarray, window: tuple) -> np.ndarray:
+    """(A, B, C, D) peak indices of every quad of ``roots``, in root order and
+    each root's far corners strongest first, as in :func:`enumerate_quads`."""
+    fps = FRAMES_PER_SECOND
+    by_time, starts, stops = window
+    n = t.size
+    sizes = stops[roots] - starts[roots]
+    cols = starts[roots, None] + np.arange(sizes.max(initial=1))  # a column even if no peaks
+    # each window's peaks, strongest first; index n pads a short one and reads as NaN
+    win = np.sort(np.where(cols < stops[roots, None], by_time[np.minimum(cols, n - 1)], n), axis=1)
+    tw, fw = np.append(t, np.nan)[win], np.append(f, np.nan)[win]
+    ta, fa = t[roots, None], f[roots, None]
+    dt = tw - ta
+    far = (dt >= DT_MIN_SECONDS * fps) & (dt <= DT_MAX_SECONDS * fps)
+    far &= np.abs(fw - fa) >= MIN_DF_BINS
+    lo_f, hi_f = np.minimum(fa, fw), np.maximum(fa, fw)
+    ok, c, d = np.zeros(win.shape, dtype=bool), np.zeros_like(win), np.zeros_like(win)
+    # B goes through each window in passes of CORNERS_PER_PASS peaks, for the
+    # roots still short of MAX_QUADS_PER_ROOT quads; most need one pass
+    rows, j = np.arange(roots.size), 0
+    while rows.size:
+        b = slice(j, j + CORNERS_PER_PASS)
+        t_r, f_r = tw[rows, None, :], fw[rows, None, :]
+        # inner[r, b, k]: window peak k lies strictly inside the box of root r and
+        # far corner b (every window peak is later than its root)
+        inner = (t_r < tw[rows, b, None]) & (f_r > lo_f[rows, b, None])
+        inner &= (f_r < hi_f[rows, b, None]) & far[rows, b, None]
+        c_b = inner.argmax(axis=2)  # the first inside peak, or 0 if none
+        np.put_along_axis(inner, c_b[..., None], False, axis=2)
+        d_b = inner.argmax(axis=2)
+        ok[rows, b] = np.take_along_axis(inner, d_b[..., None], axis=2)[..., 0]  # a second one
+        c[rows, b], d[rows, b] = c_b, d_b
+        j += CORNERS_PER_PASS
+        rows = rows[(ok[rows].sum(axis=1) < MAX_QUADS_PER_ROOT) & (sizes[rows] > j)]
+    ok &= np.cumsum(ok, axis=1) <= MAX_QUADS_PER_ROOT
+    r, b = np.nonzero(ok)
+    return np.stack([roots[r], win[r, b], win[r, c[r, b]], win[r, d[r, b]]], axis=1)
 
 
 def box_matches(hashes: np.ndarray, query: np.ndarray, eps: float) -> np.ndarray:
@@ -154,6 +199,20 @@ def box_matches(hashes: np.ndarray, query: np.ndarray, eps: float) -> np.ndarray
     if hashes.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     return np.flatnonzero(np.abs(hashes - query[None, :]).max(axis=1) <= eps)
+
+
+def _quad_arrays(quads: dict[str, np.ndarray], label: str) -> dict[str, np.ndarray]:
+    """``quads``' "hash", "t0" and "dt" in float64, checked: hash (n, 4), t0
+    and dt of length n, every value finite."""
+    arrays = {key: np.asarray(quads[key], dtype=np.float64) for key in ("hash", "t0", "dt")}
+    hashes, t0, dt = arrays.values()
+    if hashes.ndim != 2 or hashes.shape[1] != 4:
+        raise DataError(f"{label}: hash must be (n, 4), got {hashes.shape}")
+    if not t0.shape == dt.shape == (len(hashes),):
+        raise DataError(f"{label}: quad arrays disagree in length")
+    if not all(np.isfinite(a).all() for a in arrays.values()):
+        raise DataError(f"{label}: quad values must be finite")
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -187,28 +246,36 @@ class QuadDB:
         self.add_track_quads(track_id, quads)
 
     def add_track_quads(self, track_id: str, quads: dict[str, np.ndarray]) -> None:
-        arrays = {key: np.asarray(quads[key], dtype=np.float64) for key in ("hash", "t0", "dt")}
-        hashes, t0, dt = arrays.values()
-        if hashes.ndim != 2 or hashes.shape[1] != 4:
-            raise DataError(f"track {track_id!r}: hash must be (n, 4), got {hashes.shape}")
-        if not t0.shape == dt.shape == (len(hashes),):
-            raise DataError(f"track {track_id!r}: quad arrays disagree in length")
-        if not all(np.isfinite(a).all() for a in arrays.values()):
-            raise DataError(f"track {track_id!r}: quad values must be finite")
-        self.tracks.add(track_id, arrays)
+        self.tracks.add(track_id, _quad_arrays(quads, f"track {track_id!r}"))
 
     # -- lookup ---------------------------------------------------------------
 
     def candidates(self, query_hash: np.ndarray) -> np.ndarray:
-        """Quad ids within +-HASH_EPSILON of the query hash, ascending: the rows
-        ``box_matches`` returns, found by a KD-tree query in the max norm."""
-        if not np.isfinite(query_hash).all():
+        """Every (query hash i, stored quad id) pair within +-HASH_EPSILON, as
+        ascending keys ``i * n_quads + id``: the rows ``box_matches`` returns
+        for each hash, found by one KD-tree query.
+
+        ``query_hash`` is one hash (4,), whose keys are the quad ids, or a
+        stack (n, 4). There is one key per box hit.
+        """
+        q = np.asarray(query_hash, dtype=np.float64)
+        if q.ndim not in (1, 2) or q.shape[-1] != 4:
+            raise DataError(f"query hash must be (4,) or (n, 4), got {q.shape}")
+        if not np.isfinite(q).all():
             raise DataError("query hash must be finite")
+        q = q.reshape(-1, 4)
         lay = self.tracks.joined()
         if "tree" not in lay:  # a new track drops the joined layout and its tree
             lay["tree"] = KDTree(lay["hash"])
-        found = lay["tree"].query_ball_point(query_hash, HASH_EPSILON, p=np.inf, return_sorted=True)
-        return np.asarray(found, dtype=np.int64)
+        # the box's half-diagonal is 2 * HASH_EPSILON: a Euclidean ball just
+        # wider holds it, and scipy answers that query several times faster
+        # than one in the max norm; box_matches' own test then keeps the box
+        found = lay["tree"].query_ball_point(q, 2.001 * HASH_EPSILON, return_sorted=True)
+        counts = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
+        ids = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64, count=counts.sum())
+        owner = np.repeat(np.arange(len(found), dtype=np.int64), counts)
+        inside = np.abs(lay["hash"][ids] - q[owner]).max(axis=1) <= HASH_EPSILON
+        return owner[inside] * len(lay["hash"]) + ids[inside]
 
     def query_quads(self, samples: np.ndarray) -> dict[str, np.ndarray]:
         spec = melspectrogram(np.asarray(samples, dtype=np.float32))
@@ -219,18 +286,18 @@ class QuadDB:
         return self.match_quads(self.query_quads(samples))
 
     def match_quads(self, quads: dict[str, np.ndarray]) -> list[QuadMatch]:
+        hashes, t0, dt = _quad_arrays(quads, "query").values()
         lay = self.tracks.joined()
-        hits = [self.candidates(np.asarray(h, dtype=np.float64)) for h in quads["hash"]]
-        qi = np.concatenate([np.zeros(0, dtype=np.int64), *hits])
-        owner = np.repeat(np.arange(len(hits)), [ids.size for ids in hits])  # query quad per hit
-        s_hat = lay["dt"][qi] / np.asarray(quads["dt"], dtype=np.float64)[owner]
+        # the query quad and the stored quad of each hit
+        owner, qi = np.divmod(self.candidates(hashes), len(lay["hash"]))
+        s_hat = lay["dt"][qi] / dt[owner]
         ok = (STRETCH_MIN <= s_hat) & (s_hat <= STRETCH_MAX)
         qi, s_hat, owner = qi[ok], s_hat[ok], owner[ok]
         log_lo, log_hi = np.log2(STRETCH_MIN), np.log2(STRETCH_MAX)
         s_bin = np.clip(
             (np.log2(s_hat) - log_lo) / (log_hi - log_lo) * STRETCH_BINS, 0, STRETCH_BINS - 1
         ).astype(np.int64)
-        offset = lay["t0"][qi] - s_hat * np.asarray(quads["t0"], dtype=np.float64)[owner]
+        offset = lay["t0"][qi] - s_hat * t0[owner]
         o_bin = np.floor(offset / OFFSET_BIN_SECONDS).astype(np.int64)
         cell = np.stack([lay["track"][qi], s_bin, o_bin], axis=1)
         cells, votes = np.unique(cell, axis=0, return_counts=True)

@@ -260,6 +260,26 @@ class TestMlpLayer:
                 assert fused[k].dtype == v.dtype == dtype, k
                 assert fused[k].tobytes() == v.tobytes(), k
 
+    def test_column_sums_match_numpy_summation_order(self):
+        # mlp_layer takes its column sums and means with einsum; if a numpy adds
+        # the rows in another order, this fails before a trained bit moves.
+        # The shapes are training's (rows, layer width), plus the widest input.
+        shapes = [(1600, 3), (1600, 128), (1600, 256), (1600, 323), (6400, 32), (6400, 64),
+                  (12800, 16), (12800, 32), (12800, 64), (12800, 128), (25600, 32),
+                  (25600, 64), (25600, 128), (51200, 32), (51200, 48), (51200, 64)]
+        differ = []
+        for rows, cols in shapes:
+            rng = np.random.default_rng(rows + cols)
+            z = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-4, 4, size=(rows, cols))
+            for dtype in (np.float32, np.float64):
+                x = z.astype(dtype)
+                got = ad._col_sum(x)
+                if got.tobytes() != x.sum(axis=0).tobytes() or (
+                    (got / rows).tobytes() != x.mean(axis=0).tobytes()
+                ):
+                    differ.append((rows, cols, np.dtype(dtype).name))
+        assert not differ, f"numpy sums the rows of these shapes in another order: {differ}"
+
     def test_finite_differences_away_from_kink(self):
         rng = np.random.default_rng(18)
         x, w = rand(rng, 6, 3), rand(rng, 3, 4)

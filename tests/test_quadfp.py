@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import peaknetfp.reference as ref
+import quad_loop
 from peaknetfp import container, quadfp
+from peaknetfp.corpus import make_track
 from peaknetfp.errors import DataError, DecodeError
 from peaknetfp.quadfp import (
     DT_MAX_SECONDS,
@@ -28,7 +30,8 @@ from peaknetfp.quadfp import (
     quad_hash,
     spectrogram_peaks,
 )
-from peaknetfp.signal.audio import STRETCH_MAX, STRETCH_MIN, stretch_audio
+from peaknetfp.evaluate import cut_query
+from peaknetfp.signal.audio import DEFAULT_SAMPLE_RATE, STRETCH_MAX, STRETCH_MIN, stretch_audio
 from peaknetfp.signal.spectral import FRAMES_PER_SECOND, melspectrogram, stretch_spectrogram
 
 
@@ -295,11 +298,38 @@ class TestLookup:
             n_edge_hits += want.size
         assert 0 < n_edge_hits < n  # some edge points in, some out
 
+    def test_stack_keys_equal_per_hash_box_matches(self):
+        rng = np.random.default_rng(8)
+        hashes = rng.integers(0, 4, size=(600, 4)) / 4.0  # a coarse grid: many hits per hash
+        db = QuadDB()
+        db.add_track_quads("a", {"hash": hashes[:250], "t0": np.zeros(250), "dt": np.ones(250)})
+        db.add_track_quads("b", {"hash": hashes[250:], "t0": np.zeros(350), "dt": np.ones(350)})
+        stack = np.concatenate([hashes[rng.integers(0, 600, size=40)], rng.random((40, 4))])
+        stack[::7] = 5.0  # no hits
+        want = np.concatenate(
+            [i * 600 + box_matches(hashes, h, HASH_EPSILON) for i, h in enumerate(stack)]
+        )
+        got = db.candidates(stack)
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+        assert len(got) > 80
+        no_hits = db.candidates(np.full((5, 4), 5.0))
+        empty = db.candidates(np.zeros((0, 4)))
+        assert no_hits.dtype == empty.dtype == np.int64 and no_hits.size == empty.size == 0
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), (2, 4, 1), ()])
+    def test_query_hash_not_4_or_n_by_4_rejected(self, shape):
+        db = QuadDB()
+        db.add_track_quads("t", {"hash": np.full((1, 4), 0.5), "t0": [0.0], "dt": [1.0]})
+        with pytest.raises(DataError, match=r"query hash must be \(4,\) or \(n, 4\)"):
+            db.candidates(np.full(shape, 0.5))
+
     def test_tracks_without_quads(self):
         db = QuadDB()
         for tid in ("a", "b"):
             db.add_track_quads(tid, {"hash": np.zeros((0, 4)), "t0": [], "dt": []})
         got = db.candidates(np.full(4, 0.5))
+        assert got.dtype == np.int64 and got.shape == (0,)
+        got = db.candidates(np.full((3, 4), 0.5))
         assert got.dtype == np.int64 and got.shape == (0,)
         query = {"hash": np.full((3, 4), 0.5), "t0": np.zeros(3), "dt": np.ones(3)}
         assert db.match_quads(query) == []
@@ -334,6 +364,23 @@ class TestLookup:
         with pytest.raises(DataError, match=r"hash must be \(n, 4\)"):
             db.add_track_quads("t", quads)
         assert db.track_ids == []
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ({"hash": np.full((3, 4), 0.5), "t0": [0.0], "dt": [1.0]}, "disagree in length"),
+            ({"hash": np.full((1, 4), 0.5), "t0": np.zeros(3), "dt": np.ones(3)},
+             "disagree in length"),
+            ({"hash": np.full(3, 0.5), "t0": np.zeros(3), "dt": np.ones(3)},
+             r"hash must be \(n, 4\), got \(3,\)"),
+        ],
+        ids=["hash-rows-beyond-dt", "t0-and-dt-beyond-hash-rows", "one-dimensional-hash"],
+    )
+    def test_malformed_query_quads_rejected(self, query, message):
+        db = QuadDB()
+        db.add_track_quads("t", {"hash": np.full((1, 4), 0.5), "t0": [0.0], "dt": [1.0]})
+        with pytest.raises(DataError, match=f"query: .*{message}"):
+            db.match_quads(query)
 
     @pytest.mark.parametrize("key", ["hash", "t0", "dt"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -591,3 +638,79 @@ class TestSerialization:
             QuadDB().match_quads({"hash": np.zeros((0, 4)), "t0": [], "dt": []})
         with pytest.raises(DataError):
             QuadDB().save(tmp_path / "empty.quad")
+
+
+@pytest.fixture(scope="module")
+def desk_tracks():
+    return [(f"track{i:03d}", make_track(i)) for i in range(3)]
+
+
+@pytest.fixture(scope="module")
+def desk_quad_db(desk_tracks):
+    db = QuadDB()
+    for tid, samples in desk_tracks:
+        db.add_track(tid, samples)
+    return db
+
+
+def assert_same_quads(got: dict, want: dict) -> None:
+    for key in ("hash", "t0", "dt"):
+        assert got[key].dtype == want[key].dtype, key
+        assert got[key].shape == want[key].shape, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+class TestEqualsPerRootAndPerHashLoops:
+    """The windowed enumeration and the one-lookup match against
+    ``tests/quad_loop.py``, which scans every peak per root and per far
+    corner and makes one KD-tree query per hash."""
+
+    def test_reference_quads_of_desk_tracks(self, desk_tracks):
+        for tid, samples in desk_tracks:
+            peaks = spectrogram_peaks(melspectrogram(samples))
+            got = enumerate_quads(peaks, REF_QUADS_PER_SECOND)
+            assert len(got["hash"]) > 0.9 * REF_QUADS_PER_SECOND * 30, tid
+            assert_same_quads(got, quad_loop.enumerate_quads(peaks, REF_QUADS_PER_SECOND))
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+    def test_query_quads_and_rankings_of_excerpts(self, desk_tracks, desk_quad_db, factor):
+        for i, (tid, samples) in enumerate(desk_tracks):
+            excerpt = cut_query(samples, DEFAULT_SAMPLE_RATE, 2.0 + 3.5 * i, 10.0, factor)
+            peaks = spectrogram_peaks(melspectrogram(excerpt))
+            got = enumerate_quads(peaks, QUERY_QUADS_PER_SECOND)
+            assert_same_quads(got, quad_loop.enumerate_quads(peaks, QUERY_QUADS_PER_SECOND))
+            ranked = desk_quad_db.match_quads(got)
+            assert ranked == quad_loop.match_quads(desk_quad_db, got)
+            assert ranked and ranked[0].votes > 1, tid
+
+    @pytest.mark.parametrize("per_second", [1, REF_QUADS_PER_SECOND, QUERY_QUADS_PER_SECOND, 1000])
+    def test_tied_amplitudes_and_times(self, per_second):
+        # amplitudes on a coarse grid and times on whole frames, so the strength
+        # order and the window's time order break many ties
+        rng = np.random.default_rng(per_second)
+        n = 400
+        peaks = np.stack(
+            [
+                rng.integers(0, 12 * FRAMES_PER_SECOND, size=n).astype(np.float64),
+                rng.integers(0, 64, size=n) * 4.0,
+                rng.integers(1, 4, size=n) / 4.0,
+            ],
+            axis=1,
+        )
+        got = enumerate_quads(peaks, per_second)
+        assert len(got["hash"]) > 0
+        assert_same_quads(got, quad_loop.enumerate_quads(peaks, per_second))
+
+    def test_match_makes_one_lookup(self, desk_tracks, desk_quad_db, monkeypatch):
+        calls = []
+        lookup = QuadDB.candidates
+
+        def counted(self, query_hash):
+            calls.append(np.shape(query_hash))
+            return lookup(self, query_hash)
+
+        monkeypatch.setattr(QuadDB, "candidates", counted)
+        excerpt = cut_query(desk_tracks[1][1], DEFAULT_SAMPLE_RATE, 4.0, 10.0, 1.0)
+        ranked = desk_quad_db.match(excerpt)
+        assert ranked[0].track_id == desk_tracks[1][0]
+        assert len(calls) == 1 and calls[0][0] > 100 and calls[0][1:] == (4,)
